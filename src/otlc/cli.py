@@ -13,7 +13,7 @@ from pathlib import Path
 from .checker import Mode, TypeCheckError, typecheck
 from .harness import FuzzConfig, run_fuzz
 from .refine import uses_refinements
-from .semantics import FuelExhausted, StuckAt, Value, evaluate, trace
+from .semantics import AlreadyValue, FuelExhausted, Stuck, StuckAt, Value, evaluate, step, trace
 from .subtyping import UndeclaredRefinement
 from .syntax import CONSTANT_BY_NAME, Constant, ParseError, parse_program, print_expr, print_pred, print_type
 
@@ -100,17 +100,15 @@ def cmd_trace(args) -> int:
     steps = trace(expr, args.fuel)
     for i, term in enumerate(steps):
         print(f"{i}: {print_expr(term)}")
-    final = evaluate(steps[-1], 0)
-    match final:
-        case Value(_):
+    match step(steps[-1]):
+        case AlreadyValue():
             return EXIT_OK
-        case StuckAt(e, reason):
-            print(f"stuck: {reason} at {print_expr(e)}", file=sys.stderr)
+        case Stuck(reason, _):
+            print(f"stuck: {reason} at {print_expr(steps[-1])}", file=sys.stderr)
             return EXIT_FAILURE
         case _:
             print("fuel exhausted", file=sys.stderr)
             return EXIT_FAILURE
-    return EXIT_FAILURE
 
 
 def cmd_fuzz(args) -> int:

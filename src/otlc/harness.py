@@ -456,11 +456,13 @@ def check_subject_reduction(e: Expr, fuel: int, delta: frozenset,
 
     tr = trace(e, fuel)
 
+    erased = []
     judgments = []
     for i, term in enumerate(tr):
+        erased.append(erase_expr(term))
         try:
             judgments.append(
-                typecheck(frozenset(), {}, erase_expr(term), Mode.EXTENDED,
+                typecheck(frozenset(), {}, erased[i], Mode.EXTENDED,
                           erase_constants=True, drop_inexact_latents=True))
         except TypeCheckError as err:
             fail("preservation", i, f"intermediate term untypeable: {err}")
@@ -479,6 +481,8 @@ def check_subject_reduction(e: Expr, fuel: int, delta: frozenset,
     res = step(last)
     if isinstance(res, Stuck):
         fail("progress", len(tr) - 1, f"stuck: {res.reason}")
+    elif isinstance(res, Stepped):
+        fail("fuel-exhausted", len(tr) - 1, f"no value after {fuel} steps")
 
     if is_value(last) and _is_base(judgments[0].type):
         if not subtype(frozenset(), judgments[-1].type, judgments[0].type):
@@ -489,11 +493,11 @@ def check_subject_reduction(e: Expr, fuel: int, delta: frozenset,
     if with_refinements:
         if not erased_judgment_holds(delta, {}, e):
             fail("erased-typing", 0, "erased term does not carry the erased judgment")
-        for i, term in enumerate(tr[:-1]):
-            nxt = step(term)
-            er = step(erase_expr(term))
-            if not (isinstance(nxt, Stepped) and isinstance(er, Stepped)
-                    and er.next == erase_expr(nxt.next)):
+        # `trace` stops at the first term that does not step, so each
+        # tr[i + 1] is what `step(tr[i])` returned.
+        for i in range(len(tr) - 1):
+            er = step(erased[i])
+            if not (isinstance(er, Stepped) and er.next == erased[i + 1]):
                 fail("erasure-commutation", i,
                      "erasure does not commute with reduction")
 
@@ -579,6 +583,7 @@ _KIND_BUCKET = {
     "preservation": "preservation_failures",
     "soundness": "preservation_failures",
     "progress": "progress_failures",
+    "fuel-exhausted": "progress_failures",
     "erased-typing": "erasure_failures",
     "erasure-commutation": "erasure_failures",
 }

@@ -1,5 +1,11 @@
 """Call-by-value small-step semantics: constant application, single
-steps over evaluation contexts, bounded multi-step, and traces."""
+steps over evaluation contexts, bounded multi-step, and traces.
+
+`step` and `evaluate` share one iterative engine: `_split` finds the redex
+of a term and the evaluation-context frames around it, `_contract` applies
+the δ, β or `if` rule, and `_plug` rebuilds the term.  `evaluate` refocuses:
+after a contraction it continues from the current frames instead of
+plugging the term back and splitting it again from the root."""
 
 from __future__ import annotations
 
@@ -83,66 +89,111 @@ def apply_constant(c: Constant, v: Expr) -> Expr | None:
     return None
 
 
-def delta_apply(c: Constant, v: Expr) -> Expr | None:
-    """Alias for apply_constant, matching the usual name of the δ table."""
-    return apply_constant(c, v)
-
-
 def _is_false(v: Expr) -> bool:
     return isinstance(v, Bool) and v.value is False
 
 
+# An evaluation context is a list of frames, outermost first.  A frame is
+# the node whose evaluation position holds the hole, tagged with which
+# position that is; the node's other children are the frame's contents.
+_RATOR, _RAND, _TEST = range(3)
+
+
+def _split(e: Expr, frames: list) -> Expr:
+    """Descend from the non-value `e` to its redex, pushing a frame for
+    every node passed on the way."""
+    while True:
+        if isinstance(e, App):
+            if not is_value(e.rator):
+                frames.append((_RATOR, e))
+                e = e.rator
+            elif not is_value(e.rand):
+                frames.append((_RAND, e))
+                e = e.rand
+            else:
+                return e
+        elif isinstance(e, If) and not is_value(e.test):
+            frames.append((_TEST, e))
+            e = e.test
+        else:
+            return e
+
+
+def _fill(frame: tuple, e: Expr) -> Expr:
+    """Put `e` into the hole of one frame."""
+    kind, node = frame
+    if kind == _RATOR:
+        return App(e, node.rand)
+    if kind == _RAND:
+        return App(node.rator, e)
+    return If(e, node.then, node.els)
+
+
+def _plug(frames: list, e: Expr) -> Expr:
+    for frame in reversed(frames):
+        e = _fill(frame, e)
+    return e
+
+
+def _contract(redex: Expr) -> Expr | Stuck:
+    """The δ, β and `if` rules: the contractum of `redex`, or why it has none."""
+    match redex:
+        case App(Const(c), rand):
+            out = apply_constant(c, rand)
+            if out is None:
+                return Stuck(f"{c.value} is not defined on this operand", redex)
+            return out
+        case App(Abs(param, _, body), rand):
+            return substitute(body, param, rand)
+        case App():
+            return Stuck("operator not applicable", redex)
+        case If(test, then, els):
+            return els if _is_false(test) else then
+    return Stuck("no reduction rule", redex)
+
+
+def _check_closed(e: Expr, who: str) -> None:
+    if free_vars(e):
+        raise ValueError(f"{who}: term is not closed")
+
+
 def step(e: Expr) -> StepResult:
     """One step of the leftmost-innermost call-by-value reduction."""
-    if free_vars(e):
-        raise ValueError("step: term is not closed")
+    _check_closed(e, "step")
     if is_value(e):
         return AlreadyValue()
-    return _step(e)
-
-
-def _step(e: Expr) -> StepResult:
-    match e:
-        case App(rator, rand):
-            if not is_value(rator):
-                inner = _step(rator)
-                return Stepped(App(inner.next, rand)) if isinstance(inner, Stepped) else inner
-            if not is_value(rand):
-                inner = _step(rand)
-                return Stepped(App(rator, inner.next)) if isinstance(inner, Stepped) else inner
-            match rator:
-                case Const(c):
-                    out = apply_constant(c, rand)
-                    if out is None:
-                        return Stuck(f"{c.value} is not defined on this operand", e)
-                    return Stepped(out)
-                case Abs(param, _, body):
-                    return Stepped(substitute(body, param, rand))
-                case _:
-                    return Stuck("operator not applicable", e)
-        case If(test, then, els):
-            if not is_value(test):
-                inner = _step(test)
-                return Stepped(If(inner.next, then, els)) if isinstance(inner, Stepped) else inner
-            return Stepped(els if _is_false(test) else then)
-    return Stuck("no reduction rule", e)
+    frames: list = []
+    redex = _split(e, frames)
+    out = _contract(redex)
+    if isinstance(out, Stuck):
+        return out
+    return Stepped(_plug(frames, out))
 
 
 def evaluate(e: Expr, fuel: int = DEFAULT_FUEL) -> EvalOutcome:
+    """Reduce `e` for at most `fuel` steps, with the outcome of repeated
+    `step` calls.  Reduction keeps a term closed, so closedness is checked
+    once, and the whole term is rebuilt only for a stuck or out-of-fuel
+    outcome."""
     if fuel < 0:
         raise ValueError("fuel must be nonnegative")
-    for steps in range(fuel + 1):
-        res = step(e)
-        match res:
-            case AlreadyValue():
+    _check_closed(e, "evaluate")
+    frames: list = []
+    steps = 0
+    while True:
+        if is_value(e):
+            if not frames:
                 return Value(e)
-            case Stuck(reason, _):
-                return StuckAt(e, reason)
-            case Stepped(next):
-                if steps == fuel:
-                    return FuelExhausted(e, fuel)
-                e = next
-    return FuelExhausted(e, fuel)
+            e = _fill(frames.pop(), e)
+            continue
+        redex = _split(e, frames)
+        out = _contract(redex)
+        if isinstance(out, Stuck):
+            return StuckAt(_plug(frames, redex), out.reason)
+        if steps == fuel:
+            return FuelExhausted(_plug(frames, redex), fuel)
+        steps += 1
+        e = out
 
 
 def trace(e: Expr, fuel: int = DEFAULT_FUEL) -> list[Expr]:

@@ -178,17 +178,28 @@ def is_value(e: Expr) -> bool:
 
 
 def free_vars(e: Expr) -> frozenset[str]:
-    match e:
-        case Var(name):
-            return frozenset([name])
-        case Abs(param, _, body):
-            return free_vars(body) - {param}
-        case App(rator, rand):
-            return free_vars(rator) | free_vars(rand)
-        case If(test, then, els):
-            return free_vars(test) | free_vars(then) | free_vars(els)
-        case _:
-            return frozenset()
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    if not isinstance(e, (Abs, App, If)):
+        return frozenset()
+    free: set[str] = set()
+    bound: dict[str, int] = {}  # binder name -> number of enclosing binders
+    stack: list[Expr | str] = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):  # leaving the scope of binder `node`
+            bound[node] -= 1
+        elif isinstance(node, Var):
+            if not bound.get(node.name):
+                free.add(node.name)
+        elif isinstance(node, Abs):
+            bound[node.param] = bound.get(node.param, 0) + 1
+            stack += (node.param, node.body)
+        elif isinstance(node, App):
+            stack += (node.rand, node.rator)
+        elif isinstance(node, If):
+            stack += (node.els, node.then, node.test)
+    return frozenset(free)
 
 
 def substitute(body: Expr, x: str, v: Expr) -> Expr:

@@ -114,6 +114,22 @@ def test_trace_numbered_lines(program, capsys):
     assert lines == ["0: (add1 (add1 1))", "1: (add1 2)", "2: 3"]
 
 
+def test_trace_stuck_unchecked_exit_1(program, capsys):
+    path = program("(add1 #t)")
+    assert main(["trace", "--unchecked", path]) == EXIT_FAILURE
+    out = capsys.readouterr()
+    assert out.out == "0: (add1 #t)\n"
+    assert out.err == "stuck: add1 is not defined on this operand at (add1 #t)\n"
+
+
+def test_trace_fuel_exhausted(program, capsys):
+    path = program("(add1 (add1 (add1 0)))")
+    assert main(["trace", "--fuel", "1", path]) == EXIT_FAILURE
+    out = capsys.readouterr()
+    assert out.out == "0: (add1 (add1 (add1 0)))\n1: (add1 (add1 1))\n"
+    assert out.err == "fuel exhausted\n"
+
+
 def test_trace_rejects_ill_typed_without_unchecked(program, capsys):
     path = program("(add1 #t)")
     assert main(["trace", path]) == EXIT_FAILURE

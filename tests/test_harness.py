@@ -98,6 +98,13 @@ def test_subject_reduction_flags_ill_terms():
     assert "untypeable" in fails[0].detail
 
 
+def test_subject_reduction_flags_fuel_exhaustion():
+    e = parse_expr("(add1 (add1 (add1 1)))")
+    fails = check_subject_reduction(e, 1, frozenset())
+    assert [f.kind for f in fails] == ["fuel-exhausted"]
+    assert check_subject_reduction(e, 1000, frozenset()) == []
+
+
 def test_subject_reduction_flags_stuck_terms(monkeypatch):
     # Progress violations cannot arise from well-typed terms, so force one
     # by making the evaluator refuse a δ-step.

@@ -1,10 +1,14 @@
 """Small-step semantics: δ table, single steps, determinism, stuck states,
 bounded evaluation, and traces."""
 
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from otlc.checker import Mode, typecheck
+from otlc.harness import gen_typed_term
 from otlc.semantics import (
     AlreadyValue,
     FuelExhausted,
@@ -13,13 +17,13 @@ from otlc.semantics import (
     StuckAt,
     Value,
     apply_constant,
-    delta_apply,
     evaluate,
     step,
     trace,
 )
 from otlc.syntax import (
     Abs,
+    App,
     Bool,
     Const,
     Constant,
@@ -27,6 +31,7 @@ from otlc.syntax import (
     Var,
     is_value,
     parse_expr,
+    parse_program,
     print_expr,
 )
 
@@ -67,7 +72,6 @@ DELTA_TABLE = [
 @pytest.mark.parametrize("c,v,expected", DELTA_TABLE)
 def test_delta_table(c, v, expected):
     assert apply_constant(c, v) == expected
-    assert delta_apply(c, v) == expected
 
 
 def test_delta_parity_matches_arithmetic():
@@ -202,3 +206,60 @@ def test_primary_typed_terms_do_not_get_stuck():
         e = E(src)
         typecheck(frozenset(), {}, e, Mode.PRIMARY)
         assert isinstance(evaluate(e), Value)
+
+
+# ---------------------------------------------------------------------------
+# the refocusing machine against the loop over `step`
+
+
+def reference_evaluate(e, fuel):
+    """`evaluate` as a plain loop over `step`: the definition that the
+    machine in `evaluate` must agree with."""
+    for steps in range(fuel + 1):
+        res = step(e)
+        match res:
+            case AlreadyValue():
+                return Value(e)
+            case Stuck(reason, _):
+                return StuckAt(e, reason)
+            case Stepped(next):
+                if steps == fuel:
+                    return FuelExhausted(e, fuel)
+                e = next
+    return FuelExhausted(e, fuel)
+
+
+CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.lts"))
+
+
+def _machine_terms():
+    for path in CORPUS:
+        yield path.name, parse_program(path.read_text(encoding="utf-8"))[1]
+    for i in range(200):
+        e = gen_typed_term(random.Random(f"machine:{i}"), 6, frozenset())
+        yield f"gen:{i}", e
+    for src in [
+        "(add1 (5 5))",
+        "(if (add1 #t) 1 2)",
+        "((add1 #t) (add1 1))",
+        "((lambda (x : Number) (x 1)) (add1 1))",
+        "(if (if #f 1 #f) (add1 (add1 1)) (not (even? #t)))",
+        "((lambda (f : Top) (f (f 1))) (if #t add1 not))",
+        "(add1 (add1 (add1 (add1 (add1 (add1 (add1 (add1 0))))))))",
+    ]:
+        yield src, E(src)
+
+
+def test_evaluate_matches_loop_over_step_at_every_fuel():
+    for name, e in _machine_terms():
+        for fuel in range(len(trace(e)) + 2):
+            assert evaluate(e, fuel) == reference_evaluate(e, fuel), (name, fuel)
+
+
+def test_evaluate_deep_add1_tower():
+    # Built as an AST: the reader still recurses on nesting depth.
+    n, depth = 7, 10**5
+    e = Num(n)
+    for _ in range(depth):
+        e = App(Const(Constant.ADD1), e)
+    assert evaluate(e, depth) == Value(Num(n + depth))

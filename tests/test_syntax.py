@@ -175,6 +175,9 @@ def test_free_vars():
     e = parse_expr("(lambda (x : Top) (f (if x y x)))")
     assert free_vars(e) == {"f", "y"}
     assert free_vars(parse_expr("42")) == frozenset()
+    # A binder hides its name only inside its own body.
+    assert free_vars(parse_expr("((lambda (x : Top) x) x)")) == {"x"}
+    assert free_vars(parse_expr("(lambda (x : Top) ((lambda (x : Top) x) x))")) == frozenset()
 
 
 def test_substitute_respects_binding():
