@@ -45,7 +45,7 @@ from .syntax import (
     print_expr,
     print_type,
 )
-from .subtyping import constant_type, normalize, subtype, type_equal
+from .subtyping import CONSTANT_TYPES, normalize, subtype, type_equal
 
 TypeEnv = dict  # identifier -> Type; treated as immutable
 
@@ -151,11 +151,6 @@ def combfilter(p1: Pred, p2: Pred, p3: Pred) -> Pred:
     return NONE_PRED
 
 
-def subpred(p1: Pred, p2: Pred) -> bool:
-    """Alias for is_subpred, matching the relation's usual name."""
-    return is_subpred(p1, p2)
-
-
 def is_subpred(p1: Pred, p2: Pred) -> bool:
     """The ordering on visible predicates used by subject reduction."""
     if pred_equal(p1, p2):
@@ -169,26 +164,19 @@ def is_subpred(p1: Pred, p2: Pred) -> bool:
     return False
 
 
-
 def typecheck(
     delta: frozenset | set,
     g: TypeEnv,
     e: Expr,
     mode: Mode = Mode.PRIMARY,
     coverage: dict[str, int] | None = None,
-    erase_constants: bool = False,
-    drop_inexact_latents: bool = False,
+    constants: dict[Constant, Arrow] = CONSTANT_TYPES,
 ) -> Judgment:
     """Derive the type and visible predicate of `e` under `g`.
 
     `coverage`, when given, counts how often each typing rule fires.
-    `erase_constants` types constants at the refinement-erased version of
-    their type (used to check erased judgments).
-    `drop_inexact_latents` further removes the latent predicate from the
-    erased parity constants.  Erasing (Refinement even?) to Number leaves
-    even? claiming to be a test for Number, which the evaluator contradicts
-    ((even? 99) is #f); judgments taken along reduction chains must not
-    rely on that latent, while the structural-erasure check must keep it.
+    `constants` gives the type of each constant: `CONSTANT_TYPES`, or one
+    of the erased tables of `otlc.refine`.
     """
     delta = frozenset(delta)
 
@@ -196,15 +184,13 @@ def typecheck(
         if coverage is not None:
             coverage[rule] = coverage.get(rule, 0) + 1
 
-    def const_type(c) -> Type:
-        t = constant_type(c)
-        if erase_constants:
-            from .refine import erase_type
-
-            t = erase_type(t)
-            if drop_inexact_latents and c in (Constant.EVEN_P, Constant.ODD_P):
-                t = Arrow(t.arg, t.res, None)
-        return t
+    def under(rule: str, g: TypeEnv, e: Expr) -> Judgment:
+        """Judge a premise of `rule`, adding `rule` to the trail of its error."""
+        try:
+            return check(g, e)
+        except TypeCheckError as err:
+            err.push(rule)
+            raise
 
     def check(g: TypeEnv, e: Expr) -> Judgment:
         match e:
@@ -217,16 +203,12 @@ def typecheck(
                 return Judgment(NUM, TT)
             case Const(c):
                 hit("T-Const")
-                return Judgment(const_type(c), TT)
+                return Judgment(constants[c], TT)
             case Bool(value):
                 hit("T-True" if value else "T-False")
                 return Judgment(BOOLEAN, TT if value else FF)
             case Abs(param, annot, body):
-                try:
-                    jb = check({**g, param: annot}, body)
-                except TypeCheckError as err:
-                    err.push("T-Abs")
-                    raise
+                jb = under("T-Abs", {**g, param: annot}, body)
                 if isinstance(jb.pred, TypeOfPred) and jb.pred.var == param:
                     hit("T-AbsPred")
                     return Judgment(Arrow(annot, jb.type, jb.pred.type), TT)
@@ -239,12 +221,8 @@ def typecheck(
         raise TypeCheckError("T-?", e, f"not an expression: {e!r}")
 
     def check_app(g: TypeEnv, e: Expr, rator: Expr, rand: Expr) -> Judgment:
-        try:
-            j1 = check(g, rator)
-            j2 = check(g, rand)
-        except TypeCheckError as err:
-            err.push("T-App")
-            raise
+        j1 = under("T-App", g, rator)
+        j2 = under("T-App", g, rand)
         op_type = normalize(j1.type)
         if not isinstance(op_type, Arrow):
             raise TypeCheckError(
@@ -273,34 +251,20 @@ def typecheck(
         return Judgment(op_type.res, NONE_PRED)
 
     def check_if(g: TypeEnv, e: Expr, test: Expr, then: Expr, els: Expr) -> Judgment:
-        try:
-            j1 = check(g, test)
-        except TypeCheckError as err:
-            err.push("T-If")
-            raise
+        j1 = under("T-If", g, test)
         if mode is Mode.EXTENDED:
             if isinstance(j1.pred, TruePred):
-                try:
-                    j2 = check(g, then)
-                except TypeCheckError as err:
-                    err.push("T-IfTrue")
-                    raise
+                j2 = under("T-IfTrue", g, then)
                 hit("T-IfTrue")
                 return j2
             if isinstance(j1.pred, FalsePred):
-                try:
-                    j3 = check(g, els)
-                except TypeCheckError as err:
-                    err.push("T-IfFalse")
-                    raise
+                j3 = under("T-IfFalse", g, els)
                 hit("T-IfFalse")
                 return j3
-        try:
-            j2 = check(env_plus(delta, g, j1.pred), then)
-            j3 = check(env_minus(delta, g, j1.pred), els)
-        except TypeCheckError as err:
-            err.push("T-If")
-            raise
+        # the narrowed environments only mention variables of `g`, so
+        # building them cannot fail
+        j2 = under("T-If", env_plus(delta, g, j1.pred), then)
+        j3 = under("T-If", env_minus(delta, g, j1.pred), els)
         hit("T-If")
         return Judgment(normalize(UnionT((j2.type, j3.type))),
                         combfilter(j1.pred, j2.pred, j3.pred))

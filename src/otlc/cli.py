@@ -1,7 +1,8 @@
 """Command line front end: check, eval, trace, and fuzz.
 
 Exit codes: 0 success, 1 type or evaluation failure, 2 usage or parse
-error.
+error, or input (or, for fuzz, generated terms) nested too deeply for
+the recursive reader and checker.
 """
 
 from __future__ import annotations
@@ -184,6 +185,12 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as err:
         print(str(err), file=sys.stderr)
         return err.code
+    except RecursionError:
+        if args.command == "fuzz":
+            print(f"--depth {args.depth}: generated terms nested too deeply", file=sys.stderr)
+        else:
+            print(f"{args.file}: input nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

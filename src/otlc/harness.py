@@ -30,7 +30,14 @@ from .checker import (
     pred_equal,
     typecheck,
 )
-from .refine import erase_env, erase_expr, erase_pred, erase_type, erased_judgment_holds
+from .refine import (
+    CHAIN_CONSTANT_TYPES,
+    erase_env,
+    erase_expr,
+    erase_pred,
+    erase_type,
+    erased_judgment_holds,
+)
 from .semantics import Stepped, Stuck, step, trace
 from .subtyping import (
     UndeclaredRefinement,
@@ -68,12 +75,7 @@ from .syntax import (
 )
 
 NUM_OR_BOOL = UnionT((NUM, TRUE_T, FALSE_T))
-REFINE_EVEN = Refine(Constant.EVEN_P, NUM)
-
-FIG2_RULES = (
-    "T-Var", "T-Num", "T-Const", "T-True", "T-False",
-    "T-Abs", "T-AbsPred", "T-App", "T-AppPred", "T-If",
-)
+REFINE_EVEN = Refine(Constant.EVEN_P)
 
 _PREDICATE_CONSTANTS = (
     Constant.NOT, Constant.NUMBER_P, Constant.BOOLEAN_P, Constant.PROCEDURE_P,
@@ -219,9 +221,9 @@ class _Gen:
         usable = [x for x, t in env.items() if self.fits(t, g)]
         if usable and self.rng.random() < 0.5:
             return Var(self.rng.choice(usable))
-        return self.literal(env, g, 0)
+        return self.literal(env, g)
 
-    def literal(self, env: dict, g, retry: int) -> Expr:
+    def literal(self, env: dict, g) -> Expr:
         match g:
             case NumT():
                 return Num(self.rng.randint(-10, 99))
@@ -234,7 +236,7 @@ class _Gen:
                     return Bool(self.rng.random() < 0.5)
                 if not members:
                     raise _GenFail
-                return self.literal(env, self.rng.choice(members), retry)
+                return self.literal(env, self.rng.choice(members))
             case Arrow(arg, res, latent):
                 if latent is None:
                     for c in Constant:
@@ -245,7 +247,7 @@ class _Gen:
                 e = Abs(x, arg, body)
                 # the inferred latent must match; revalidation catches misses
                 return e
-            case Refine(_, _):
+            case Refine(_):
                 usable = [x for x, t in env.items() if self.fits(t, g)]
                 if not usable:
                     raise _GenFail
@@ -258,11 +260,11 @@ class _Gen:
                     return Bool(self.rng.random() < 0.5)
                 if pick < 0.8:
                     return Const(self.rng.choice(list(Constant)[:5]))
-                return self.literal(env, Arrow(NUM, NUM), retry)
+                return self.literal(env, Arrow(NUM, NUM))
 
     def vet(self, env: dict, e: Expr) -> tuple[Judgment, Judgment]:
         """Primary judgment of `e` plus its judgment in the system used to
-        re-judge reduction chains (erased, extended, sound constant table).
+        re-judge reduction chains (erased, extended, `CHAIN_CONSTANT_TYPES`).
         The chain-side predicate must agree with the erasure of the primary
         one or be plain `none`; otherwise the narrowing assumed while
         generating the surrounding term will not match the narrowing seen
@@ -272,8 +274,7 @@ class _Gen:
         try:
             j = typecheck(self.delta, env, e, Mode.PRIMARY)
             je = typecheck(frozenset(), erase_env(env), erase_expr(e),
-                           Mode.EXTENDED, erase_constants=True,
-                           drop_inexact_latents=True)
+                           Mode.EXTENDED, constants=CHAIN_CONSTANT_TYPES)
         except (TypeCheckError, UndeclaredRefinement):
             raise _GenFail from None
         if isinstance(j.pred, VarPred) and not isinstance(e, Var):
@@ -374,7 +375,7 @@ class _Gen:
         e = self.expr(env, want, depth - 1)
         if strict and not isinstance(e, Var):
             if _pred_unstable(e):
-                return self.literal(env, normalize(want), 0)
+                return self.literal(env, normalize(want))
             self.vet(env, e)
         return e
 
@@ -463,7 +464,7 @@ def check_subject_reduction(e: Expr, fuel: int, delta: frozenset,
         try:
             judgments.append(
                 typecheck(frozenset(), {}, erased[i], Mode.EXTENDED,
-                          erase_constants=True, drop_inexact_latents=True))
+                          constants=CHAIN_CONSTANT_TYPES))
         except TypeCheckError as err:
             fail("preservation", i, f"intermediate term untypeable: {err}")
             return failures

@@ -2,7 +2,9 @@
 
 The subtype judgment is parameterized by the set of constants declared
 usable as refinement predicates: a refinement type may only be compared
-once its predicate has been declared.
+once its predicate has been declared.  `CONSTANT_TYPES` is the table the
+checker types constants with by default; `otlc.refine` derives the
+erased tables from it.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from .syntax import (
     UnionT,
 )
 
-RefineEnv = frozenset  # set of Constant
-
 
 class UndeclaredRefinement(Exception):
     """A refinement type was compared before its predicate was declared."""
@@ -33,30 +33,30 @@ class UndeclaredRefinement(Exception):
         self.constant = c
 
 
-_CONSTANT_TYPES: dict[Constant, Arrow] = {
+CONSTANT_TYPES: dict[Constant, Arrow] = {
     Constant.ADD1: Arrow(NUM, NUM),
     Constant.NOT: Arrow(TOP, BOOLEAN),
     Constant.NUMBER_P: Arrow(TOP, BOOLEAN, NUM),
     Constant.BOOLEAN_P: Arrow(TOP, BOOLEAN, BOOLEAN),
     Constant.PROCEDURE_P: Arrow(TOP, BOOLEAN, Arrow(BOT, TOP)),
-    Constant.EVEN_P: Arrow(NUM, BOOLEAN, Refine(Constant.EVEN_P, NUM)),
-    Constant.ODD_P: Arrow(NUM, BOOLEAN, Refine(Constant.ODD_P, NUM)),
+    Constant.EVEN_P: Arrow(NUM, BOOLEAN, Refine(Constant.EVEN_P)),
+    Constant.ODD_P: Arrow(NUM, BOOLEAN, Refine(Constant.ODD_P)),
 }
 
 
 def constant_type(c: Constant) -> Arrow:
-    return _CONSTANT_TYPES[c]
+    return CONSTANT_TYPES[c]
 
 
 def refinement_base(c: Constant) -> Type:
     """The base type refined by predicate `c`: its own argument type."""
-    return _CONSTANT_TYPES[c].arg
+    return CONSTANT_TYPES[c].arg
 
 
 @lru_cache(maxsize=None)
 def normalize(t: Type) -> Type:
     """Flatten nested unions, drop empty members, deduplicate, and collapse
-    one-member unions.  Idempotent; recurs into arrows and refinements."""
+    one-member unions.  Idempotent; recurs into arrows."""
     match t:
         case Arrow(arg, res, latent):
             return Arrow(normalize(arg), normalize(res),
@@ -78,8 +78,6 @@ def normalize(t: Type) -> Type:
             if len(out) == 1:
                 return out[0]
             return UnionT(tuple(out))
-        case Refine(c, base):
-            return Refine(c, normalize(base))
         case _:
             return t
 
@@ -109,5 +107,5 @@ def _sub(delta: frozenset[Constant], s: Type, t: Type) -> bool:
     if isinstance(s, Refine):
         if s.pred not in delta:
             raise UndeclaredRefinement(s.pred)
-        return _sub(delta, s.base, t)
+        return _sub(delta, refinement_base(s.pred), t)
     return False

@@ -70,8 +70,9 @@ class UnionT(Type):
 
 @dataclass(frozen=True)
 class Refine(Type):
+    """The values of the predicate's own argument type that pass it."""
+
     pred: Constant
-    base: Type  # always the argument type of the predicate's own arrow
 
 
 TOP = TopT()
@@ -408,9 +409,7 @@ class _Reader:
                 if c is None:
                     self.fail("unknown constant in Refinement type", ctok)
                 self.expect(")")
-                from .subtyping import refinement_base
-
-                return Refine(c, refinement_base(c))
+                return Refine(c)
             self.fail("expected U, -> or Refinement", head)
         atom = tok.text
         if atom == "Top":
@@ -534,7 +533,7 @@ def print_type(t: Type) -> str:
             if latent is None:
                 return f"(-> {print_type(arg)} {print_type(res)})"
             return f"(-> {print_type(arg)} {print_type(res)} : {print_type(latent)})"
-        case Refine(c, _):
+        case Refine(c):
             return f"(Refinement {c.value})"
     raise TypeError(f"not a type: {t!r}")
 

@@ -12,7 +12,6 @@ from otlc.checker import (
     is_subpred,
     remove,
     restrict,
-    subpred,
     typecheck,
 )
 from otlc.subtyping import normalize, subtype
@@ -188,12 +187,11 @@ def test_combfilter_clause6_fallthrough():
     (P("Number @ x"), P("Boolean @ x"), False),
 ])
 def test_subpred(p, q, expected):
-    assert subpred(p, q) is expected
     assert is_subpred(p, q) is expected
 
 
 def test_subpred_typeof_up_to_normalize():
-    assert subpred(P("(U True False) @ x"), P("Boolean @ x"))
+    assert is_subpred(P("(U True False) @ x"), P("Boolean @ x"))
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +320,21 @@ def test_argument_subtype_failure_breadcrumb():
         check("(lambda (x : Boolean) (add1 x))")
     msg = str(exc.value)
     assert "T-App" in msg and "(add1 x)" in msg and "T-Abs" in msg
+
+
+@pytest.mark.parametrize("src,mode,trail", [
+    ("(lambda (x : Top) (if (number? x) (add1 #t) 0))", Mode.PRIMARY,
+     "[via T-Abs > T-If > T-App]"),
+    ("(if #t (add1 #t) 0)", Mode.EXTENDED, "[via T-IfTrue > T-App]"),
+    ("(if #f 0 (add1 #t))", Mode.EXTENDED, "[via T-IfFalse > T-App]"),
+    ("((lambda (y : Number) y) (if (add1 #t) 1 2))", Mode.PRIMARY,
+     "[via T-App > T-If > T-App]"),
+])
+def test_error_trail_names_each_enclosing_rule(src, mode, trail):
+    with pytest.raises(TypeCheckError) as exc:
+        check(src, mode)
+    assert str(exc.value).endswith(
+        f"argument type Boolean is not a subtype of Number at (add1 #t) {trail}")
 
 
 # ---------------------------------------------------------------------------

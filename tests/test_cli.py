@@ -183,3 +183,32 @@ def test_unknown_command_exit_2(capsys):
 
 def test_help_exit_0(capsys):
     assert main(["--help"]) == EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# deeply nested input
+
+
+def _tower(depth):
+    return "(add1 " * depth + "1" + ")" * depth
+
+
+@pytest.mark.parametrize("command", ["check", "eval", "trace"])
+@pytest.mark.parametrize("depth", [10**3, 10**5])
+def test_deep_input_is_a_clean_usage_error(program, capsys, command, depth):
+    path = program(_tower(depth))
+    assert main([command, path]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"{path}: input nested too deeply\n"
+    assert "Traceback" not in err
+
+
+def test_fuzz_too_deep_is_a_clean_usage_error(capsys):
+    assert main(["fuzz", "--depth", "1000", "--count", "3", "--seed", "2"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "--depth 1000: generated terms nested too deeply\n"
+
+
+@pytest.mark.parametrize("command", ["check", "eval", "trace"])
+def test_moderately_deep_input_runs(program, capsys, command):
+    assert main([command, program(_tower(300))]) == EXIT_OK
+    assert capsys.readouterr().err == ""

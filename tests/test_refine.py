@@ -4,6 +4,8 @@ import pytest
 
 from otlc.checker import Mode, typecheck
 from otlc.refine import (
+    CHAIN_CONSTANT_TYPES,
+    ERASED_CONSTANT_TYPES,
     declare_refinement,
     erase_env,
     erase_expr,
@@ -13,8 +15,9 @@ from otlc.refine import (
     erased_judgment_holds,
     uses_refinements,
 )
-from otlc.semantics import Stepped, step
+from otlc.semantics import Stepped, Value, evaluate, step
 from otlc.syntax import (
+    Bool,
     Constant,
     TT,
     TypeOfPred,
@@ -24,6 +27,7 @@ from otlc.syntax import (
     parse_pred,
     parse_type,
     print_expr,
+    print_pred,
     print_type,
 )
 
@@ -128,7 +132,7 @@ EVEN_CONSUMER = ("(lambda (f : (-> (Refinement even?) Number)) "
 
 
 def test_erased_judgment_of_even_consumer():
-    je = erased_judgment(EVEN, {}, parse_expr(EVEN_CONSUMER))
+    je = erased_judgment({}, parse_expr(EVEN_CONSUMER))
     assert print_type(je.type) == "(-> (-> Number Number) (-> Number Number))"
 
 
@@ -154,9 +158,32 @@ def test_erased_judgment_holds_is_identity_without_refinements(src):
 
 def test_erased_judgment_uses_erased_constant_types():
     # even? itself is typed at its erased table entry in the erased system.
-    je = erased_judgment(EVEN, {"n": parse_type("Number")},
-                         parse_expr("(even? n)"))
+    je = erased_judgment({"n": parse_type("Number")}, parse_expr("(even? n)"))
     assert je.pred == TypeOfPred(parse_type("Number"), "n")
+
+
+# ---------------------------------------------------------------------------
+# the erased and chain constant tables
+
+
+def _extended(constants, src, env=None):
+    j = typecheck(frozenset(), env or {}, parse_expr(src), Mode.EXTENDED,
+                  constants=constants)
+    return f"{print_type(j.type)} ; {print_pred(j.pred)}"
+
+
+def test_erased_latent_of_even_is_inexact_on_values():
+    # Under the erased table even? claims to test for Number, so the
+    # extended rules decide (even? 99) true; the evaluator says #f.
+    assert evaluate(parse_expr("(even? 99)"), 10) == Value(Bool(False))
+    assert _extended(ERASED_CONSTANT_TYPES, "(even? 99)") == "Boolean ; tt"
+    assert _extended(CHAIN_CONSTANT_TYPES, "(even? 99)") == "Boolean ; none"
+
+
+def test_chain_table_gives_parity_tests_no_variable_predicate():
+    env = {"n": parse_type("Number")}
+    assert _extended(ERASED_CONSTANT_TYPES, "(even? n)", env) == "Boolean ; Number @ n"
+    assert _extended(CHAIN_CONSTANT_TYPES, "(even? n)", env) == "Boolean ; none"
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from otlc.syntax import (
 
 EMPTY = frozenset()
 PARITY = frozenset({Constant.EVEN_P, Constant.ODD_P})
-R_EVEN = Refine(Constant.EVEN_P, NUM)
-R_ODD = Refine(Constant.ODD_P, NUM)
+R_EVEN = Refine(Constant.EVEN_P)
+R_ODD = Refine(Constant.ODD_P)
 
 
 # ---------------------------------------------------------------------------

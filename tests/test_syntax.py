@@ -61,7 +61,7 @@ def test_parse_types():
     assert parse_type("(U Number Boolean)") == UnionT((NUM, TRUE_T, FALSE_T))
     assert parse_type("(-> Number Number)") == Arrow(NUM, NUM, None)
     assert parse_type("(-> Top Boolean : Number)") == Arrow(TOP, BOOLEAN, NUM)
-    assert parse_type("(Refinement even?)") == Refine(Constant.EVEN_P, NUM)
+    assert parse_type("(Refinement even?)") == Refine(Constant.EVEN_P)
     assert parse_type("(U)") == UnionT(())
 
 
@@ -126,8 +126,7 @@ def test_print_expr_examples():
 
 _type_strategy = st.deferred(lambda: st.one_of(
     st.sampled_from([TOP, NUM, TRUE_T, FALSE_T, BOOLEAN]),
-    st.builds(Refine, st.sampled_from([Constant.EVEN_P, Constant.ODD_P]),
-              st.just(NUM)),
+    st.builds(Refine, st.sampled_from([Constant.EVEN_P, Constant.ODD_P])),
     st.builds(lambda ms: UnionT(tuple(ms)),
               st.lists(_type_strategy, max_size=3)),
     st.builds(Arrow, _type_strategy, _type_strategy,
