@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Print the distribution of the terms `gen_typed_term` generates, as JSON.
+
+Term `i` of seed `s` is drawn from `random.Random(f"dist:{s}:{i}")`.  The
+statistics are the mean node count, the mean number of reduction steps,
+the share of single-node terms (atoms), the share of terms that take no
+step, and how often each primary typing rule fires on the terms.  Compare
+two versions of the generator by running the same command on each.
+
+Example:
+    python3 scripts/gen_stats.py --count 5000 --seeds 1 2 3 4 --refinements
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from otlc.checker import Mode, typecheck  # noqa: E402
+from otlc.harness import MAX_FUZZ_DEPTH, gen_typed_term  # noqa: E402
+from otlc.semantics import trace  # noqa: E402
+from otlc.syntax import Abs, App, Constant, If  # noqa: E402
+
+
+def nodes(e) -> int:
+    n, stack = 0, [e]
+    while stack:
+        e = stack.pop()
+        n += 1
+        match e:
+            case Abs(_, _, body):
+                stack.append(body)
+            case App(rator, rand):
+                stack += (rator, rand)
+            case If(test, then, els):
+                stack += (test, then, els)
+    return n
+
+
+def stats(count: int, seeds: list[int], depth: int, fuel: int,
+          refinements: bool) -> dict:
+    delta = (frozenset({Constant.EVEN_P, Constant.ODD_P})
+             if refinements else frozenset())
+    sizes, steps, coverage = [], [], {}
+    for seed in seeds:
+        for i in range(count):
+            e = gen_typed_term(random.Random(f"dist:{seed}:{i}"), depth,
+                               delta, refinements)
+            typecheck(delta, {}, e, Mode.PRIMARY, coverage=coverage)
+            sizes.append(nodes(e))
+            steps.append(len(trace(e, fuel)) - 1)
+    terms = len(sizes)
+    return {
+        "mode": "refinements" if refinements else "base",
+        "terms": terms,
+        "depth": depth,
+        "mean_nodes": round(sum(sizes) / terms, 3),
+        "mean_steps": round(sum(steps) / terms, 3),
+        "atom_pct": round(100 * sizes.count(1) / terms, 2),
+        "zero_step_pct": round(100 * steps.count(0) / terms, 2),
+        "coverage": dict(sorted(coverage.items())),
+    }
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--count", type=int, default=2000, help="terms per seed")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[0])
+    ap.add_argument("--depth", type=int, default=6)
+    ap.add_argument("--fuel", type=int, default=1000)
+    ap.add_argument("--refinements", action="store_true")
+    args = ap.parse_args()
+    if args.count < 1:
+        ap.error("--count must be at least 1")
+    if not 1 <= args.depth <= MAX_FUZZ_DEPTH:
+        ap.error(f"--depth must be between 1 and {MAX_FUZZ_DEPTH}")
+    print(json.dumps(stats(args.count, args.seeds, args.depth, args.fuel,
+                           args.refinements), indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -186,10 +186,7 @@ def main(argv: list[str] | None = None) -> int:
         print(str(err), file=sys.stderr)
         return err.code
     except RecursionError:
-        if args.command == "fuzz":
-            print(f"--depth {args.depth}: generated terms nested too deeply", file=sys.stderr)
-        else:
-            print(f"{args.file}: input nested too deeply", file=sys.stderr)
+        print(f"{args.file}: input nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 
 

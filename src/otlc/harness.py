@@ -81,6 +81,16 @@ _PREDICATE_CONSTANTS = (
     Constant.NOT, Constant.NUMBER_P, Constant.BOOLEAN_P, Constant.PROCEDURE_P,
 )
 
+# How many of each builder a 100-card deck holds.  `_Gen.expr` tries at most
+# _BUILDER_TRIES builders, drawn one at a time without replacement: the law
+# of the first cards of a shuffled deck, without shuffling the whole deck.
+_BUILDERS = {"leaf": 30, "if": 30, "app": 25, "lam": 15}
+_BUILDER_TRIES = 8
+
+# The generator's expected term size grows exponentially with depth:
+# twenty terms take seconds at depth 20 and over 90 s at depth 32.
+MAX_FUZZ_DEPTH = 16
+
 
 @dataclass
 class FuzzConfig:
@@ -93,8 +103,8 @@ class FuzzConfig:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be at least 1")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
+        if not 1 <= self.max_depth <= MAX_FUZZ_DEPTH:
+            raise ValueError(f"max_depth must be between 1 and {MAX_FUZZ_DEPTH}")
 
 
 @dataclass
@@ -201,9 +211,12 @@ class _Gen:
     def expr(self, env: dict, goal, depth: int) -> Expr:
         if depth <= 1:
             return self.leaf(env, goal)
-        builders = ["leaf"] * 30 + ["if"] * 30 + ["app"] * 25 + ["lam"] * 15
-        self.rng.shuffle(builders)
-        for name in builders[:8]:
+        names = list(_BUILDERS)
+        left = list(_BUILDERS.values())
+        for _ in range(_BUILDER_TRIES):
+            k = self.rng.choices(range(len(left)), left)[0]
+            left[k] -= 1
+            name = names[k]
             try:
                 if name == "leaf":
                     return self.leaf(env, goal)
@@ -408,8 +421,11 @@ class _Gen:
 
 
 def gen_typed_term(rng: random.Random, max_depth: int, delta: frozenset,
-                   with_refinements: bool = False) -> Expr:
-    """A closed term that typechecks with the primary rules under `delta`."""
+                   with_refinements: bool = False,
+                   coverage: dict[str, int] | None = None) -> Expr:
+    """A closed term that typechecks with the primary rules under `delta`.
+    `coverage`, when given, counts the rules of the term's primary
+    judgment, as `typecheck` does; the judgment is taken once, here."""
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     delta = frozenset(delta)
@@ -423,12 +439,18 @@ def gen_typed_term(rng: random.Random, max_depth: int, delta: frozenset,
             continue
         if free_vars(e):
             continue
+        rules = None if coverage is None else {}
         try:
-            typecheck(delta, {}, e, Mode.PRIMARY)
+            typecheck(delta, {}, e, Mode.PRIMARY, coverage=rules)
         except (TypeCheckError, UndeclaredRefinement):
             continue
+        if rules:
+            for rule, n in rules.items():
+                coverage[rule] = coverage.get(rule, 0) + n
         return e
-    return Num(rng.randint(0, 9))
+    e = Num(rng.randint(0, 9))
+    typecheck(delta, {}, e, Mode.PRIMARY, coverage=coverage)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +620,9 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
     report = FuzzReport(seed=config.seed)
     for i in range(config.count):
         rng = random.Random(f"{config.seed}:{i}")
-        e = gen_typed_term(rng, config.max_depth, delta, config.with_refinements)
+        e = gen_typed_term(rng, config.max_depth, delta, config.with_refinements,
+                           coverage=report.coverage)
         report.generated += 1
-        typecheck(delta, {}, e, Mode.PRIMARY, coverage=report.coverage)
 
         if parse_expr(print_expr(e)) != e:
             report.roundtrip_failures.append(

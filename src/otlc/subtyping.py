@@ -88,7 +88,14 @@ def type_equal(s: Type, t: Type) -> bool:
 
 def subtype(delta: frozenset[Constant] | set[Constant], s: Type, t: Type) -> bool:
     """Decide s <= t under the declared refinement predicates `delta`."""
-    return _sub(frozenset(delta), normalize(s), normalize(t))
+    return _subtype(frozenset(delta), s, t)
+
+
+@lru_cache(maxsize=None)
+def _subtype(delta: frozenset[Constant], s: Type, t: Type) -> bool:
+    # One cache lookup per call: hashing a type walks all of it, and
+    # looking up normalize(s), normalize(t) and _sub would hash each twice.
+    return _sub(delta, normalize(s), normalize(t))
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,7 @@ of a base type by a built-in predicate.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -237,50 +238,34 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str  # "(", ")", ":", an atom, or "" for end of input
-    line: int
-    col: int
-
-
-_DELIMS = {"(", ")", ":", ";"}
-
 RESERVED_WORDS = {
     "lambda", "if", "U", "->", "Refinement", "declare-refinement",
     "Top", "Number", "True", "False", "Boolean", "Bot",
 }
 
+# A comment (to end of line, group empty) or a token: "(", ")", ":" or an
+# atom.  Whitespace between matches is skipped.
+_TOKEN = re.compile(r";[^\n]*|([():]|[^\s():;]+)")
 
-def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch == ";":  # comment to end of line
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "():":
-            toks.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and not text[i].isspace() and text[i] not in _DELIMS:
-                i += 1
-                col += 1
-            toks.append(_Token(text[start:i], line, start_col))
-    toks.append(_Token("", line, col))
+
+def _tokenize(text: str) -> list[str]:
+    """The tokens of `text`, then "" for the end of input."""
+    toks = list(filter(None, _TOKEN.findall(text)))
+    toks.append("")
     return toks
+
+
+def _position(text: str, i: int) -> tuple[int, int]:
+    """Line and column of token `i` of `_tokenize(text)`.  The end of input
+    after a comment that runs to the end is at the comment's start."""
+    offsets = [m.start(1) for m in _TOKEN.finditer(text) if m.group(1)]
+    if i < len(offsets):
+        off = offsets[i]
+    else:
+        line_start = text.rfind("\n") + 1
+        comment = text.find(";", line_start)
+        off = comment if comment >= 0 else len(text)
+    return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
 
 
 _INT_CHARS = set("0123456789")
@@ -293,39 +278,42 @@ def _is_integer(atom: str) -> bool:
 
 class _Reader:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
+        self.last = 0  # index of the token `next` returned last
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.toks[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.toks[self.pos]
-        if tok.text:
-            self.pos += 1
+    def next(self) -> str:
+        i = self.last = self.pos
+        tok = self.toks[i]
+        if tok:
+            self.pos = i + 1
         return tok
 
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        shown = tok.text if tok.text else "<end of input>"
-        raise ParseError(f"{message} (got {shown!r})", tok.line, tok.col)
+    def fail(self, message: str, last: bool = False):
+        """Raise at the token `next` returned last, or else at the next one."""
+        i = self.last if last else self.pos
+        shown = self.toks[i] or "<end of input>"
+        raise ParseError(f"{message} (got {shown!r})", *_position(self.text, i))
 
     def expect(self, text: str):
-        tok = self.next()
-        if tok.text != text:
-            self.fail(f"expected {text!r}", tok)
+        if self.next() != text:
+            self.fail(f"expected {text!r}", last=True)
 
     def expect_end(self):
-        if self.peek().text:
+        if self.peek():
             self.fail("expected end of input")
 
     # -- expressions
 
     def read_expr(self) -> Expr:
         tok = self.next()
-        if tok.text == "(":
+        if tok == "(":
             head = self.peek()
-            if head.text == "lambda":
+            if head == "lambda":
                 self.next()
                 self.expect("(")
                 param = self.read_ident()
@@ -335,7 +323,7 @@ class _Reader:
                 body = self.read_expr()
                 self.expect(")")
                 return Abs(param, annot, body)
-            if head.text == "if":
+            if head == "if":
                 self.next()
                 test = self.read_expr()
                 then = self.read_expr()
@@ -348,10 +336,9 @@ class _Reader:
             return App(rator, rand)
         return self.read_atom_expr(tok)
 
-    def read_atom_expr(self, tok: _Token) -> Expr:
-        atom = tok.text
+    def read_atom_expr(self, atom: str) -> Expr:
         if not atom or atom in "():":
-            self.fail("expected an expression", tok)
+            self.fail("expected an expression", last=True)
         if _is_integer(atom):
             return Num(int(atom))
         if atom == "#t":
@@ -361,30 +348,29 @@ class _Reader:
         if atom in CONSTANT_BY_NAME:
             return Const(CONSTANT_BY_NAME[atom])
         if atom.startswith("#"):
-            self.fail("unknown # literal", tok)
+            self.fail("unknown # literal", last=True)
         if atom in RESERVED_WORDS:
-            self.fail("reserved word used as a variable", tok)
+            self.fail("reserved word used as a variable", last=True)
         return Var(atom)
 
     def read_ident(self) -> str:
-        tok = self.next()
-        atom = tok.text
+        atom = self.next()
         if not atom or atom in "():":
-            self.fail("expected an identifier", tok)
+            self.fail("expected an identifier", last=True)
         if atom in RESERVED_WORDS or atom in CONSTANT_BY_NAME or atom.startswith("#") or _is_integer(atom):
-            self.fail("expected an identifier", tok)
+            self.fail("expected an identifier", last=True)
         return atom
 
     # -- types
 
     def read_type(self) -> Type:
         tok = self.next()
-        if tok.text == "(":
+        if tok == "(":
             head = self.next()
-            if head.text == "U":
+            if head == "U":
                 members: list[Type] = []
-                while self.peek().text not in (")", ""):
-                    if self.peek().text == "Boolean":
+                while self.peek() not in (")", ""):
+                    if self.peek() == "Boolean":
                         # Boolean is (U True False); splice it so that the
                         # printed form (U Number Boolean) reads back as the
                         # flat union it denotes
@@ -394,62 +380,60 @@ class _Reader:
                         members.append(self.read_type())
                 self.expect(")")
                 return UnionT(tuple(members))
-            if head.text == "->":
+            if head == "->":
                 arg = self.read_type()
                 res = self.read_type()
                 latent = None
-                if self.peek().text == ":":
+                if self.peek() == ":":
                     self.next()
                     latent = self.read_type()
                 self.expect(")")
                 return Arrow(arg, res, latent)
-            if head.text == "Refinement":
-                ctok = self.next()
-                c = CONSTANT_BY_NAME.get(ctok.text)
+            if head == "Refinement":
+                c = CONSTANT_BY_NAME.get(self.next())
                 if c is None:
-                    self.fail("unknown constant in Refinement type", ctok)
+                    self.fail("unknown constant in Refinement type", last=True)
                 self.expect(")")
                 return Refine(c)
-            self.fail("expected U, -> or Refinement", head)
-        atom = tok.text
-        if atom == "Top":
+            self.fail("expected U, -> or Refinement", last=True)
+        if tok == "Top":
             return TOP
-        if atom == "Number":
+        if tok == "Number":
             return NUM
-        if atom == "True":
+        if tok == "True":
             return TRUE_T
-        if atom == "False":
+        if tok == "False":
             return FALSE_T
-        if atom == "Boolean":
+        if tok == "Boolean":
             return UnionT((TRUE_T, FALSE_T))
-        if atom == "Bot":
+        if tok == "Bot":
             return UnionT(())
-        self.fail("expected a type", tok)
+        self.fail("expected a type", last=True)
 
     # -- predicates
 
     def read_pred(self) -> Pred:
         tok = self.peek()
-        if tok.text == "tt":
+        if tok == "tt":
             self.next()
             return TT
-        if tok.text == "ff":
+        if tok == "ff":
             self.next()
             return FF
-        if tok.text == "none":
+        if tok == "none":
             self.next()
             return NONE_PRED
         # A lone identifier is a variable predicate; otherwise a type
         # followed by "@ x".
-        if (tok.text not in ("(", ")", ":", "")
-                and self.toks[self.pos + 1].text == ""
-                and tok.text not in RESERVED_WORDS
-                and tok.text not in CONSTANT_BY_NAME
-                and not tok.text.startswith("#")
-                and not _is_integer(tok.text)
-                and tok.text != "@"):
+        if (tok not in ("(", ")", ":", "")
+                and self.toks[self.pos + 1] == ""
+                and tok not in RESERVED_WORDS
+                and tok not in CONSTANT_BY_NAME
+                and not tok.startswith("#")
+                and not _is_integer(tok)
+                and tok != "@"):
             self.next()
-            return VarPred(tok.text)
+            return VarPred(tok)
         t = self.read_type()
         self.expect("@")
         return TypeOfPred(t, self.read_ident())
@@ -481,13 +465,12 @@ def parse_program(text: str) -> tuple[tuple[Constant, ...], Expr]:
     expression."""
     r = _Reader(text)
     decls: list[Constant] = []
-    while (r.peek().text == "(" and r.toks[r.pos + 1].text == "declare-refinement"):
+    while (r.peek() == "(" and r.toks[r.pos + 1] == "declare-refinement"):
         r.next()
         r.next()
-        ctok = r.next()
-        c = CONSTANT_BY_NAME.get(ctok.text)
+        c = CONSTANT_BY_NAME.get(r.next())
         if c is None:
-            r.fail("unknown constant in declare-refinement", ctok)
+            r.fail("unknown constant in declare-refinement", last=True)
         r.expect(")")
         decls.append(c)
     e = r.read_expr()

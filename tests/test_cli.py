@@ -205,7 +205,7 @@ def test_deep_input_is_a_clean_usage_error(program, capsys, command, depth):
 
 def test_fuzz_too_deep_is_a_clean_usage_error(capsys):
     assert main(["fuzz", "--depth", "1000", "--count", "3", "--seed", "2"]) == EXIT_USAGE
-    assert capsys.readouterr().err == "--depth 1000: generated terms nested too deeply\n"
+    assert capsys.readouterr().err == "bad flags: max_depth must be between 1 and 16\n"
 
 
 @pytest.mark.parametrize("command", ["check", "eval", "trace"])

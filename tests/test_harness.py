@@ -17,8 +17,17 @@ from otlc.harness import (
     run_fuzz,
     shrink_failure,
 )
-from otlc.semantics import Stepped, Value, evaluate
-from otlc.syntax import Constant, If, free_vars, parse_expr, print_expr
+from otlc.semantics import Stepped, Value, evaluate, trace
+from otlc.syntax import (
+    Abs,
+    App,
+    Constant,
+    If,
+    Num,
+    free_vars,
+    parse_expr,
+    print_expr,
+)
 
 EMPTY = frozenset()
 BOTH = frozenset({Constant.EVEN_P, Constant.ODD_P})
@@ -37,6 +46,7 @@ def test_config_defaults():
     {"count": 0, "seed": 1},
     {"count": -5, "seed": 1},
     {"count": 1, "seed": 1, "max_depth": 0},
+    {"count": 1, "seed": 1, "max_depth": 17},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -68,6 +78,57 @@ def test_generation_deterministic():
 def test_gen_rejects_bad_depth():
     with pytest.raises(ValueError):
         gen_typed_term(random.Random(0), 0, EMPTY)
+
+
+@pytest.mark.parametrize("refinements", [False, True])
+def test_gen_coverage_is_the_returned_terms_judgment(refinements):
+    delta = BOTH if refinements else EMPTY
+    got, want = {"T-Num": 3}, {"T-Num": 3}
+    for i in range(60):
+        e = gen_typed_term(random.Random(f"cov:{i}"), 5, delta, refinements,
+                           coverage=got)
+        assert e == gen_typed_term(random.Random(f"cov:{i}"), 5, delta, refinements)
+        typecheck(delta, {}, e, Mode.PRIMARY, coverage=want)
+    assert got == want
+
+
+def test_gen_coverage_counts_the_fallback(monkeypatch):
+    def no_term(*args):
+        raise harness._GenFail
+    monkeypatch.setattr(harness._Gen, "expr", no_term)
+    cov = {}
+    e = gen_typed_term(random.Random(0), 5, EMPTY, coverage=cov)
+    assert isinstance(e, Num) and 0 <= e.value <= 9
+    assert cov == {"T-Num": 1}
+
+
+def _nodes(e) -> int:
+    match e:
+        case Abs(_, _, body):
+            return 1 + _nodes(body)
+        case App(rator, rand):
+            return 1 + _nodes(rator) + _nodes(rand)
+        case If(test, then, els):
+            return 1 + _nodes(test) + _nodes(then) + _nodes(els)
+    return 1
+
+
+@pytest.mark.parametrize("refinements,min_nodes,min_steps", [
+    (False, 18, 3.0),
+    (True, 21, 3.4),
+])
+def test_generated_terms_are_not_trivial(refinements, min_nodes, min_steps):
+    """A generator that got faster by producing trivial terms fails this."""
+    delta = BOTH if refinements else EMPTY
+    sizes, steps = [], []
+    for i in range(2000):
+        e = gen_typed_term(random.Random(f"dist:{i}"), 6, delta, refinements)
+        sizes.append(_nodes(e))
+        steps.append(len(trace(e, 1000)) - 1)
+    assert sum(sizes) / len(sizes) >= min_nodes
+    assert sum(steps) / len(steps) >= min_steps
+    assert sizes.count(1) / len(sizes) <= 0.37
+    assert steps.count(0) / len(steps) <= 0.42
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,13 @@ def test_comments_and_whitespace():
     ("(add1 1))", "1:9"),
     ("", "1:1"),
     ("(if 1 2)", "1:8"),
+    # end of input after a trailing comment is reported at the comment
+    ("(add1 1 ; trailing comment", "1:9"),
+    ("(add1\t#q)", "1:7"),
+    ("(add1 1)\r\n)", "2:1"),
+    ("; c1\n; c2\n  (if #t 1)", "3:11"),
+    ("(lambda (x : Number)\n\t  x", "2:5"),
+    ("((add1 1) ;c\n  2) 3", "2:6"),
 ])
 def test_parse_errors_carry_positions(text, loc):
     with pytest.raises(ParseError) as exc:
