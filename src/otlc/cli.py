@@ -1,8 +1,9 @@
 """Command line front end: check, eval, trace, and fuzz.
 
 Exit codes: 0 success, 1 type or evaluation failure, 2 usage or parse
-error, or input (or, for fuzz, generated terms) nested too deeply for
-the recursive reader and checker.
+error: bad flags (a negative `--fuel` among them), a file that cannot be
+read or is not UTF-8, or input nested too deeply for the recursive reader
+and checker.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 from .checker import Mode, TypeCheckError, typecheck
 from .harness import FuzzConfig, run_fuzz
 from .refine import uses_refinements
-from .semantics import AlreadyValue, FuelExhausted, Stuck, StuckAt, Value, evaluate, step, trace
+from .semantics import FuelExhausted, StuckAt, Value, evaluate, trace
 from .subtyping import UndeclaredRefinement
 from .syntax import CONSTANT_BY_NAME, Constant, ParseError, parse_program, print_expr, print_pred, print_type
 
@@ -32,7 +33,7 @@ class _CliError(Exception):
 def _load_program(path: str, delta_flag: str | None):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise _CliError(f"cannot read {path}: {err}", EXIT_USAGE) from None
     try:
         declared, expr = parse_program(text)
@@ -101,11 +102,11 @@ def cmd_trace(args) -> int:
     steps = trace(expr, args.fuel)
     for i, term in enumerate(steps):
         print(f"{i}: {print_expr(term)}")
-    match step(steps[-1]):
-        case AlreadyValue():
+    match evaluate(steps[-1], 0):
+        case Value():
             return EXIT_OK
-        case Stuck(reason, _):
-            print(f"stuck: {reason} at {print_expr(steps[-1])}", file=sys.stderr)
+        case StuckAt(e, reason):
+            print(f"stuck: {reason} at {print_expr(e)}", file=sys.stderr)
             return EXIT_FAILURE
         case _:
             print("fuel exhausted", file=sys.stderr)
@@ -180,6 +181,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
+    if getattr(args, "fuel", 0) < 0:
+        print("bad flags: fuel must be nonnegative", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except _CliError as err:

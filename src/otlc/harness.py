@@ -38,7 +38,7 @@ from .refine import (
     erase_type,
     erased_judgment_holds,
 )
-from .semantics import Stepped, Stuck, step, trace
+from .semantics import FuelExhausted, StuckAt, evaluate, trace
 from .subtyping import (
     UndeclaredRefinement,
     constant_type,
@@ -105,6 +105,8 @@ class FuzzConfig:
             raise ValueError("count must be at least 1")
         if not 1 <= self.max_depth <= MAX_FUZZ_DEPTH:
             raise ValueError(f"max_depth must be between 1 and {MAX_FUZZ_DEPTH}")
+        if self.fuel < 0:
+            raise ValueError("fuel must be nonnegative")
 
 
 @dataclass
@@ -152,39 +154,6 @@ class FuzzReport:
 
 class _GenFail(Exception):
     pass
-
-
-def _pred_mentions_var(e: Expr) -> bool:
-    """Whether the predicate of `e` may mention a program variable (a bare
-    variable predicate or a per-variable type fact).  Such predicates
-    dissolve to tt/ff once the variable is substituted by a value, which
-    statically decides any if whose test this expression is."""
-    match e:
-        case Var(_):
-            return True
-        case App(_, rand):
-            return isinstance(rand, Var) or _pred_mentions_var(rand)
-        case If(test, then, els):
-            return any(_pred_mentions_var(x) for x in (test, then, els))
-        case _:
-            return False
-
-
-def _pred_unstable(e: Expr) -> bool:
-    """Whether the predicate of `e` can change once enclosing binders are
-    substituted away.  A variable's predicate becomes the value's
-    predicate.  An if whose test is decided by substitution takes its
-    branch's predicate, which may mention a still-bound variable the
-    original combined predicate did not — so the enclosing context would
-    suddenly narrow under a fact it never checked the branches against."""
-    match e:
-        case Var(_):
-            return True
-        case If(test, then, els):
-            return (_pred_mentions_var(test)
-                    or _pred_unstable(then) or _pred_unstable(els))
-        case _:
-            return False
 
 
 class _Gen:
@@ -299,7 +268,7 @@ class _Gen:
     def cond(self, env: dict, goal, depth: int) -> Expr:
         test = self.make_test(env, depth)
         j1, je1 = self.vet(env, test)
-        if isinstance(j1.pred, VarPred) or _pred_unstable(test):
+        if isinstance(j1.pred, VarPred):
             raise _GenFail
         try:
             env_then = env_plus(self.delta, env, j1.pred)
@@ -379,16 +348,13 @@ class _Gen:
 
     def operand(self, env: dict, want, depth: int, strict: bool = False) -> Expr:
         """Argument expression fitting `want`.  When the operator carries a
-        latent predicate (`strict`), only operands whose predicate dissolves
-        to tt/ff as soon as the enclosing binder is substituted are safe:
-        variables, values, and vetted compounds without per-variable preds."""
+        latent predicate (`strict`), the application's predicate is built
+        from the operand's, so a compound operand must pass `vet`."""
         usable = [x for x, t in env.items() if self.fits(t, want)]
         if usable and self.rng.random() < 0.6:
             return Var(self.rng.choice(usable))
         e = self.expr(env, want, depth - 1)
         if strict and not isinstance(e, Var):
-            if _pred_unstable(e):
-                return self.literal(env, normalize(want))
             self.vet(env, e)
         return e
 
@@ -501,11 +467,11 @@ def check_subject_reduction(e: Expr, fuel: int, delta: frozenset,
                  f"predicate not preserved from {print_expr(tr[i-1])} to {print_expr(tr[i])}")
 
     last = tr[-1]
-    res = step(last)
-    if isinstance(res, Stuck):
-        fail("progress", len(tr) - 1, f"stuck: {res.reason}")
-    elif isinstance(res, Stepped):
-        fail("fuel-exhausted", len(tr) - 1, f"no value after {fuel} steps")
+    match evaluate(last, 0):
+        case StuckAt(_, reason):
+            fail("progress", len(tr) - 1, f"stuck: {reason}")
+        case FuelExhausted():
+            fail("fuel-exhausted", len(tr) - 1, f"no value after {fuel} steps")
 
     if is_value(last) and _is_base(judgments[0].type):
         if not subtype(frozenset(), judgments[-1].type, judgments[0].type):
@@ -516,13 +482,12 @@ def check_subject_reduction(e: Expr, fuel: int, delta: frozenset,
     if with_refinements:
         if not erased_judgment_holds(delta, {}, e):
             fail("erased-typing", 0, "erased term does not carry the erased judgment")
-        # `trace` stops at the first term that does not step, so each
-        # tr[i + 1] is what `step(tr[i])` returned.
-        for i in range(len(tr) - 1):
-            er = step(erased[i])
-            if not (isinstance(er, Stepped) and er.next == erased[i + 1]):
-                fail("erasure-commutation", i,
-                     "erasure does not commute with reduction")
+        # The erased run must be the erased chain, term by term and no longer.
+        erased_run = trace(erased[0], fuel)
+        if erased_run != erased:
+            i = next((i for i, (a, b) in enumerate(zip(erased_run, erased)) if a != b),
+                     min(len(erased_run), len(erased)))
+            fail("erasure-commutation", i - 1, "erasure does not commute with reduction")
 
     return failures
 

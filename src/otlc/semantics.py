@@ -1,11 +1,12 @@
 """Call-by-value small-step semantics: constant application, single
 steps over evaluation contexts, bounded multi-step, and traces.
 
-`step` and `evaluate` share one iterative engine: `_split` finds the redex
-of a term and the evaluation-context frames around it, `_contract` applies
-the δ, β or `if` rule, and `_plug` rebuilds the term.  `evaluate` refocuses:
-after a contraction it continues from the current frames instead of
-plugging the term back and splitting it again from the root."""
+`step`, `evaluate` and `trace` share one iterative engine: `_split` finds
+the redex of a term and the evaluation-context frames around it,
+`_contract` applies the δ, β or `if` rule, and `_plug` rebuilds the term.
+`evaluate` and `trace` refocus: after a contraction they continue from the
+current frames instead of plugging the term back and splitting it again
+from the root.  This is the only module that reduces terms."""
 
 from __future__ import annotations
 
@@ -170,14 +171,16 @@ def step(e: Expr) -> StepResult:
     return Stepped(_plug(frames, out))
 
 
-def evaluate(e: Expr, fuel: int = DEFAULT_FUEL) -> EvalOutcome:
-    """Reduce `e` for at most `fuel` steps, with the outcome of repeated
-    `step` calls.  Reduction keeps a term closed, so closedness is checked
-    once, and the whole term is rebuilt only for a stuck or out-of-fuel
+def _reduce(e: Expr, fuel: int, who: str, record=None) -> EvalOutcome:
+    """The refocusing loop behind `evaluate` and `trace`: reduce `e` for at
+    most `fuel` steps, with the outcome of repeated `step` calls.  Reduction
+    keeps a term closed, so closedness is checked once.  After each
+    contraction the loop continues from the current frames; the whole term
+    is rebuilt only to hand it to `record`, or for a stuck or out-of-fuel
     outcome."""
     if fuel < 0:
         raise ValueError("fuel must be nonnegative")
-    _check_closed(e, "evaluate")
+    _check_closed(e, who)
     frames: list = []
     steps = 0
     while True:
@@ -194,15 +197,19 @@ def evaluate(e: Expr, fuel: int = DEFAULT_FUEL) -> EvalOutcome:
             return FuelExhausted(_plug(frames, redex), fuel)
         steps += 1
         e = out
+        if record is not None:
+            record(_plug(frames, e))
+
+
+def evaluate(e: Expr, fuel: int = DEFAULT_FUEL) -> EvalOutcome:
+    """Reduce `e` for at most `fuel` steps, with the outcome of repeated
+    `step` calls."""
+    return _reduce(e, fuel, "evaluate")
 
 
 def trace(e: Expr, fuel: int = DEFAULT_FUEL) -> list[Expr]:
-    """Every term of the reduction sequence, first and last included."""
+    """Every term of the reduction sequence, first and last included: at
+    most `fuel` steps, stopping early at a value or a stuck term."""
     out = [e]
-    for _ in range(fuel):
-        res = step(e)
-        if not isinstance(res, Stepped):
-            break
-        e = res.next
-        out.append(e)
+    _reduce(e, fuel, "trace", out.append)
     return out

@@ -52,6 +52,15 @@ def test_check_missing_file_exit_2(capsys):
     assert main(["check", "/nonexistent/prog.lts"]) == EXIT_USAGE
 
 
+def test_check_undecodable_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "prog.lts"
+    path.write_bytes(b"(add1 \xff)")
+    assert main(["check", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {path}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_check_delta_flag(program, capsys):
     path = program("(lambda (n : (Refinement even?)) (add1 n))")
     assert main(["check", "--delta", "even?", path]) == EXIT_OK
@@ -128,6 +137,15 @@ def test_trace_fuel_exhausted(program, capsys):
     out = capsys.readouterr()
     assert out.out == "0: (add1 (add1 (add1 0)))\n1: (add1 (add1 1))\n"
     assert out.err == "fuel exhausted\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "trace", "fuzz"])
+def test_negative_fuel_is_a_usage_error(program, capsys, command):
+    args = [command, "--fuel", "-1"] + ([] if command == "fuzz" else [program("5")])
+    assert main(args) == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "bad flags: fuel must be nonnegative\n"
 
 
 def test_trace_rejects_ill_typed_without_unchecked(program, capsys):

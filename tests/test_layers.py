@@ -41,3 +41,12 @@ def test_relative_imports_name_lower_layers(module):
             targets = [node.module] if node.module else [a.name for a in node.names]
             upward += [t for t in targets if LAYERS.index(t) >= rank]
     assert upward == [], f"{module}.py imports from layers at or above it: {upward}"
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m not in ("semantics", "__init__")])
+def test_only_semantics_reduces_with_step(module):
+    # `step` is the one-step relation the tests compare the engine against;
+    # the rest of the package reduces with `evaluate` and `trace`.
+    names = [a.name for node in ast.walk(_tree(module))
+             if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert "step" not in names, f"{module}.py imports step"

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from otlc.checker import Mode, typecheck
 from otlc.harness import gen_typed_term
 from otlc.semantics import (
+    DEFAULT_FUEL,
     AlreadyValue,
     FuelExhausted,
     Stepped,
@@ -186,6 +187,13 @@ def test_trace_respects_fuel():
     assert len(ts) == 2
 
 
+def test_trace_rejects_negative_fuel_and_open_terms():
+    with pytest.raises(ValueError):
+        trace(E("5"), -1)
+    with pytest.raises(ValueError, match="not closed"):
+        trace(E("(add1 x)"), 0)
+
+
 # ---------------------------------------------------------------------------
 # properties
 
@@ -250,10 +258,25 @@ def _machine_terms():
         yield src, E(src)
 
 
+def reference_trace(e, fuel):
+    """`trace` as a plain loop over `step`."""
+    out = [e]
+    for _ in range(fuel):
+        res = step(e)
+        if not isinstance(res, Stepped):
+            break
+        e = res.next
+        out.append(e)
+    return out
+
+
 def test_evaluate_matches_loop_over_step_at_every_fuel():
+    # `trace` runs on the same machine, so it is checked here too.
     for name, e in _machine_terms():
-        for fuel in range(len(trace(e)) + 2):
+        terms = reference_trace(e, DEFAULT_FUEL)
+        for fuel in range(len(terms) + 2):
             assert evaluate(e, fuel) == reference_evaluate(e, fuel), (name, fuel)
+            assert trace(e, fuel) == terms[:fuel + 1], (name, fuel)
 
 
 def test_evaluate_deep_add1_tower():
