@@ -438,10 +438,9 @@ def check_subject_reduction(e: Expr, fuel: int, delta: frozenset,
     means every clause held."""
     delta = frozenset(delta)
     failures: list[FuzzFailure] = []
-    text = print_expr(e)
 
     def fail(kind: str, i: int, detail: str):
-        failures.append(FuzzFailure(kind, text, i, detail))
+        failures.append(FuzzFailure(kind, print_expr(e), i, detail))
 
     tr = trace(e, fuel)
 

@@ -1,8 +1,10 @@
 """Union normalization, the subtype relation, and the constant type table.
 
 The subtype judgment is parameterized by the set of constants declared
-usable as refinement predicates: a refinement type may only be compared
-once its predicate has been declared.  `CONSTANT_TYPES` is the table the
+usable as refinement predicates: a query whose types mention a refinement
+whose predicate is undeclared raises `UndeclaredRefinement`, whatever its
+answer would be.  Types are hash-consed (see `otlc.syntax`), so the caches
+keyed on them hash and compare in O(1).  `CONSTANT_TYPES` is the table the
 checker types constants with by default; `otlc.refine` derives the
 erased tables from it.
 """
@@ -65,19 +67,9 @@ def normalize(t: Type) -> Type:
             flat: list[Type] = []
             for m in members:
                 n = normalize(m)
-                if isinstance(n, UnionT):
-                    flat.extend(n.members)
-                elif n not in flat:
-                    flat.append(n)
-            # a nested union's members are already normalized and deduped
-            # against each other but not against earlier members
-            out: list[Type] = []
-            for m in flat:
-                if m not in out:
-                    out.append(m)
-            if len(out) == 1:
-                return out[0]
-            return UnionT(tuple(out))
+                flat.extend(n.members if isinstance(n, UnionT) else (n,))
+            out = tuple(dict.fromkeys(flat))  # first occurrences, in order
+            return out[0] if len(out) == 1 else UnionT(out)
         case _:
             return t
 
@@ -87,15 +79,30 @@ def type_equal(s: Type, t: Type) -> bool:
 
 
 def subtype(delta: frozenset[Constant] | set[Constant], s: Type, t: Type) -> bool:
-    """Decide s <= t under the declared refinement predicates `delta`."""
+    """Decide s <= t under the declared refinement predicates `delta`.
+    Raises UndeclaredRefinement if s or t mentions a refinement outside it."""
     return _subtype(frozenset(delta), s, t)
 
 
 @lru_cache(maxsize=None)
 def _subtype(delta: frozenset[Constant], s: Type, t: Type) -> bool:
-    # One cache lookup per call: hashing a type walks all of it, and
-    # looking up normalize(s), normalize(t) and _sub would hash each twice.
-    return _sub(delta, normalize(s), normalize(t))
+    # One cache lookup per call.  _sub may decide without meeting a refinement
+    # (s == t, a union member that fits), so _declared checks them all: after
+    # _sub, so that a query _sub rejects names the predicate _sub names.
+    result = _sub(delta, normalize(s), normalize(t))
+    _declared(delta, s)
+    _declared(delta, t)
+    return result
+
+
+@lru_cache(maxsize=None)
+def _declared(delta: frozenset[Constant], t: Type | None) -> None:
+    """Raise UndeclaredRefinement at the leftmost undeclared refinement in t."""
+    if isinstance(t, Refine) and t.pred not in delta:
+        raise UndeclaredRefinement(t.pred)
+    for u in (t.members if isinstance(t, UnionT)
+              else (t.arg, t.res, t.latent) if isinstance(t, Arrow) else ()):
+        _declared(delta, u)
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,10 @@ integer and boolean literals, a fixed set of primitive operations, and a
 three-armed conditional.  Types include a top type, numbers, singleton
 booleans, latent-predicate arrows, finite untagged unions, and refinements
 of a base type by a built-in predicate.
+
+Types are hash-consed: a live type is the only object of its structure, so
+types are equal exactly when identical and hash in O(1).  The table of live
+types holds them weakly.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from weakref import WeakValueDictionary
 
 
 class Constant(Enum):
@@ -33,43 +38,56 @@ CONSTANT_BY_NAME = {c.value: c for c in Constant}
 # Types
 
 
-class Type:
+class _HashConsed(type):
+    live: WeakValueDictionary = WeakValueDictionary()
+
+    def __call__(cls, *fields):
+        # A live twin is returned without running the initialiser again.  A
+        # missing trailing field is Arrow's latent, None.
+        key = (cls, *fields, *(None,) * (len(cls.__match_args__) - len(fields)))
+        t = _HashConsed.live.get(key)
+        if t is None:
+            t = _HashConsed.live[key] = super().__call__(*fields)
+        return t
+
+
+class Type(metaclass=_HashConsed):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TopT(Type):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NumT(Type):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrueT(Type):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FalseT(Type):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Arrow(Type):
     arg: Type
     res: Type
     latent: Type | None = None  # None means "not a predicate"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnionT(Type):
     members: tuple[Type, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Refine(Type):
     """The values of the predicate's own argument type that pass it."""
 

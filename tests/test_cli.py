@@ -86,6 +86,19 @@ def test_check_declare_directive(program, capsys):
     assert main(["check", path]) == EXIT_OK
 
 
+@pytest.mark.parametrize("operand", ["(lambda (m : (Refinement even?)) 7)",
+                                     "(lambda (m : Number) 7)"])
+def test_check_undeclared_refinement_exit_1(program, capsys, operand):
+    # even? is undeclared: the verdict must not depend on whether the
+    # operand's type is the parameter's type itself.
+    path = program("(declare-refinement odd?)\n"
+                   f"((lambda (f : (-> (Refinement even?) Number)) 1) {operand})")
+    assert main(["check", path]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "type error: refinement predicate even? is not declared"
+
+
 # ---------------------------------------------------------------------------
 # eval / trace
 

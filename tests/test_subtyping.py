@@ -1,4 +1,8 @@
-"""Normalization, the constant-type table, and the subtype relation."""
+"""Normalization, the constant-type table, the subtype relation, and the
+hash-consed representation of types."""
+
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +25,10 @@ from otlc.syntax import (
     Arrow,
     Constant,
     Refine,
+    Type,
     UnionT,
     parse_type,
+    print_type,
 )
 
 EMPTY = frozenset()
@@ -153,6 +159,15 @@ def test_undeclared_refinement_raises():
         subtype(frozenset({Constant.ODD_P}), R_EVEN, NUM)
 
 
+@pytest.mark.parametrize("s,t", [(NUM, R_EVEN), (R_EVEN, R_EVEN),
+                                 (NUM, UnionT((TOP, R_EVEN)))])
+def test_undeclared_refinement_raises_however_decided(s, t):
+    # Deciding these never reaches the refinement's base (s == t, or a
+    # union member that already fits), yet the refinement is undeclared.
+    with pytest.raises(UndeclaredRefinement, match="even[?] is not declared"):
+        subtype(EMPTY, s, t)
+
+
 # ---------------------------------------------------------------------------
 # Properties
 
@@ -180,3 +195,50 @@ def test_subtype_invariant_under_normalize(s, t):
 def test_subtype_transitive(a, b, c):
     if subtype(PARITY, a, b) and subtype(PARITY, b, c):
         assert subtype(PARITY, a, c)
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing: one live object per type
+
+
+def _rebuild(x):
+    """A copy of `x` built node by node, bottom-up, from its fields."""
+    if isinstance(x, tuple):
+        return tuple(_rebuild(m) for m in x)
+    if isinstance(x, Type):
+        return type(x)(*(_rebuild(getattr(x, f)) for f in x.__match_args__))
+    return x
+
+
+def _shape(x):
+    """The structure of `x` as nested tuples, with no type objects in it."""
+    if isinstance(x, tuple):
+        return tuple(_shape(m) for m in x)
+    if isinstance(x, Type):
+        return (type(x),) + tuple(_shape(getattr(x, f)) for f in x.__match_args__)
+    return x
+
+
+@settings(max_examples=100, deadline=None)
+@given(_types)
+def test_rebuilt_type_is_the_original(t):
+    copy = _rebuild(t)
+    assert copy is t
+    assert normalize(copy) is normalize(t)
+    assert parse_type(print_type(t)) is t
+
+
+@settings(max_examples=100, deadline=None)
+@given(_types, _types)
+def test_types_are_equal_exactly_when_identical(s, t):
+    assert (s == t) == (s is t) == (_shape(s) == _shape(t))
+    assert s != object()
+
+
+def test_type_table_holds_types_weakly():
+    # A shape no other test builds, so no cache holds it.
+    t = Arrow(UnionT((R_ODD, NUM, R_ODD, TOP, R_ODD)), Arrow(BOT, UnionT((TOP,) * 7)))
+    ref = weakref.ref(t)
+    del t
+    gc.collect()
+    assert ref() is None
