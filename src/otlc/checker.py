@@ -45,7 +45,7 @@ from .syntax import (
     print_expr,
     print_type,
 )
-from .subtyping import CONSTANT_TYPES, normalize, subtype, type_equal
+from .subtyping import CONSTANT_TYPES, subtype
 
 TypeEnv = dict  # identifier -> Type; treated as immutable
 
@@ -79,21 +79,19 @@ class TypeCheckError(Exception):
 
 def restrict(delta: frozenset, s: Type, t: Type) -> Type:
     """Narrow s to the portion that is a subtype of t."""
-    s = normalize(s)
     if subtype(delta, s, t):
         return s
     if isinstance(s, UnionT):
-        return normalize(UnionT(tuple(restrict(delta, m, t) for m in s.members)))
-    return normalize(t)
+        return UnionT(tuple(restrict(delta, m, t) for m in s.members))
+    return t
 
 
 def remove(delta: frozenset, s: Type, t: Type) -> Type:
     """Narrow s to the portion that is not a subtype of t."""
-    s = normalize(s)
     if subtype(delta, s, t):
         return BOT
     if isinstance(s, UnionT):
-        return normalize(UnionT(tuple(remove(delta, m, t) for m in s.members)))
+        return UnionT(tuple(remove(delta, m, t) for m in s.members))
     return s
 
 
@@ -127,21 +125,14 @@ def env_minus(delta: frozenset, g: TypeEnv, p: Pred) -> TypeEnv:
             return g
 
 
-def pred_equal(p: Pred, q: Pred) -> bool:
-    """Structural equality, with embedded types compared up to normalize."""
-    if isinstance(p, TypeOfPred) and isinstance(q, TypeOfPred):
-        return p.var == q.var and type_equal(p.type, q.type)
-    return p == q
-
-
 def combfilter(p1: Pred, p2: Pred, p3: Pred) -> Pred:
     """The predicate of a conditional, from its test and branch predicates.
     First matching clause wins."""
-    if pred_equal(p2, p3):
+    if p2 == p3:
         return p2
     if (isinstance(p1, TypeOfPred) and isinstance(p2, TruePred)
             and isinstance(p3, TypeOfPred) and p1.var == p3.var):
-        return TypeOfPred(normalize(UnionT((p1.type, p3.type))), p1.var)
+        return TypeOfPred(UnionT((p1.type, p3.type)), p1.var)
     if isinstance(p1, TruePred):
         return p2
     if isinstance(p1, FalsePred):
@@ -153,7 +144,7 @@ def combfilter(p1: Pred, p2: Pred, p3: Pred) -> Pred:
 
 def is_subpred(p1: Pred, p2: Pred) -> bool:
     """The ordering on visible predicates used by subject reduction."""
-    if pred_equal(p1, p2):
+    if p1 == p2:
         return True
     if isinstance(p2, NonePred):
         return True
@@ -223,7 +214,7 @@ def typecheck(
     def check_app(g: TypeEnv, e: Expr, rator: Expr, rand: Expr) -> Judgment:
         j1 = under("T-App", g, rator)
         j2 = under("T-App", g, rand)
-        op_type = normalize(j1.type)
+        op_type = j1.type
         if not isinstance(op_type, Arrow):
             raise TypeCheckError(
                 "T-App", e, f"operator has non-function type {print_type(j1.type)}")
@@ -266,7 +257,7 @@ def typecheck(
         j2 = under("T-If", env_plus(delta, g, j1.pred), then)
         j3 = under("T-If", env_minus(delta, g, j1.pred), els)
         hit("T-If")
-        return Judgment(normalize(UnionT((j2.type, j3.type))),
+        return Judgment(UnionT((j2.type, j3.type)),
                         combfilter(j1.pred, j2.pred, j3.pred))
 
     return check(dict(g), e)

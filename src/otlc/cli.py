@@ -1,9 +1,10 @@
 """Command line front end: check, eval, trace, and fuzz.
 
-Exit codes: 0 success, 1 type or evaluation failure, 2 usage or parse
-error: bad flags (a negative `--fuel` among them), a file that cannot be
-read or is not UTF-8, or input nested too deeply for the recursive reader
-and checker.
+Exit codes: 0 success, 1 type or evaluation failure (an open program run
+`--unchecked` among them), 2 usage or parse error: bad flags (a negative
+`--fuel` among them), a file that cannot be read or is not UTF-8, a
+`--json` report that cannot be written, or input nested too deeply for
+the recursive reader and checker.
 """
 
 from __future__ import annotations
@@ -17,7 +18,16 @@ from .harness import FuzzConfig, run_fuzz
 from .refine import uses_refinements
 from .semantics import FuelExhausted, StuckAt, Value, evaluate, trace
 from .subtyping import UndeclaredRefinement
-from .syntax import CONSTANT_BY_NAME, Constant, ParseError, parse_program, print_expr, print_pred, print_type
+from .syntax import (
+    CONSTANT_BY_NAME,
+    Constant,
+    ParseError,
+    free_vars,
+    parse_program,
+    print_expr,
+    print_pred,
+    print_type,
+)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -64,8 +74,15 @@ def cmd_check(args) -> int:
 
 
 def _check_before_run(delta, expr, unchecked: bool) -> int | None:
+    """The exit code of a program that must not run: one that is ill-typed
+    or, unchecked, open."""
     if unchecked:
-        return None
+        free = free_vars(expr)
+        if not free:
+            return None
+        print(f"cannot run an open program: unbound variable {', '.join(sorted(free))}",
+              file=sys.stderr)
+        return EXIT_FAILURE
     try:
         typecheck(delta, {}, expr, Mode.PRIMARY)
     except (TypeCheckError, UndeclaredRefinement) as err:
@@ -135,7 +152,10 @@ def cmd_fuzz(args) -> int:
     for f in failures[:20]:
         print(f"FAIL [{f.kind}] step {f.step}: {f.term}\n  {f.detail}")
     if args.json:
-        Path(args.json).write_text(report.to_json(), encoding="utf-8")
+        try:
+            Path(args.json).write_text(report.to_json(), encoding="utf-8")
+        except OSError as err:
+            raise _CliError(f"cannot write {args.json}: {err}", EXIT_USAGE) from None
     return EXIT_OK if not failures else EXIT_FAILURE
 
 

@@ -27,7 +27,6 @@ from .checker import (
     env_minus,
     env_plus,
     is_subpred,
-    pred_equal,
     typecheck,
 )
 from .refine import (
@@ -39,12 +38,7 @@ from .refine import (
     erased_judgment_holds,
 )
 from .semantics import FuelExhausted, StuckAt, evaluate, trace
-from .subtyping import (
-    UndeclaredRefinement,
-    constant_type,
-    normalize,
-    subtype,
-)
+from .subtyping import CONSTANT_TYPES, UndeclaredRefinement, subtype
 from .syntax import (
     BOOLEAN,
     FALSE_T,
@@ -199,11 +193,10 @@ class _Gen:
         return self.leaf(env, goal)
 
     def leaf(self, env: dict, goal) -> Expr:
-        g = normalize(goal)
-        usable = [x for x, t in env.items() if self.fits(t, g)]
+        usable = [x for x, t in env.items() if self.fits(t, goal)]
         if usable and self.rng.random() < 0.5:
             return Var(self.rng.choice(usable))
-        return self.literal(env, g)
+        return self.literal(env, goal)
 
     def literal(self, env: dict, g) -> Expr:
         match g:
@@ -222,7 +215,7 @@ class _Gen:
             case Arrow(arg, res, latent):
                 if latent is None:
                     for c in Constant:
-                        if self.fits(constant_type(c), g) and self.rng.random() < 0.4:
+                        if self.fits(CONSTANT_TYPES[c], g) and self.rng.random() < 0.4:
                             return Const(c)
                 x = self.fresh()
                 body = self.expr({**env, x: arg}, res, 1)
@@ -261,7 +254,7 @@ class _Gen:
             raise _GenFail from None
         if isinstance(j.pred, VarPred) and not isinstance(e, Var):
             raise _GenFail
-        if je.pred != NONE_PRED and not pred_equal(erase_pred(j.pred), je.pred):
+        if je.pred != NONE_PRED and erase_pred(j.pred) != je.pred:
             raise _GenFail
         return j, je
 
@@ -291,8 +284,7 @@ class _Gen:
         return If(test, then, els)
 
     def make_test(self, env: dict, depth: int) -> Expr:
-        narrowable = [x for x, t in env.items()
-                      if normalize(t) == TOP or isinstance(normalize(t), UnionT)]
+        narrowable = [x for x, t in env.items() if t == TOP or isinstance(t, UnionT)]
         if narrowable and self.rng.random() < 0.6:
             x = self.rng.choice(narrowable)
             c = self.rng.choice((Constant.NUMBER_P, Constant.BOOLEAN_P))
@@ -305,30 +297,29 @@ class _Gen:
         return self.expr(env, BOOLEAN, depth - 1)
 
     def app(self, env: dict, goal, depth: int) -> Expr:
-        g = normalize(goal)
         options = []
-        if self.fits(NUM, g):
+        if self.fits(NUM, goal):
             options.append("add1")
-        if self.fits(BOOLEAN, g):
+        if self.fits(BOOLEAN, goal):
             options.append("predicate")
         arrows = [x for x, t in env.items()
-                  if isinstance(normalize(t), Arrow) and self.fits(normalize(t).res, g)]
+                  if isinstance(t, Arrow) and self.fits(t.res, goal)]
         if arrows:
             options.append("call")
         options.append("beta")
-        if self.with_refinements and self.fits(NUM, g):
+        if self.with_refinements and self.fits(NUM, goal):
             options.append("even-guard")
         match self.rng.choice(options):
             case "add1":
                 return App(Const(Constant.ADD1), self.operand(env, NUM, depth))
             case "predicate":
                 c = self.rng.choice(_PREDICATE_CONSTANTS)
-                arg = constant_type(c).arg
-                strict = constant_type(c).latent is not None
+                arg = CONSTANT_TYPES[c].arg
+                strict = CONSTANT_TYPES[c].latent is not None
                 return App(Const(c), self.operand(env, arg, depth, strict=strict))
             case "call":
                 f = self.rng.choice(arrows)
-                ft = normalize(env[f])
+                ft = env[f]
                 return App(Var(f), self.operand(env, ft.arg, depth,
                                                 strict=ft.latent is not None))
             case "even-guard":
@@ -339,8 +330,7 @@ class _Gen:
                 body = self.expr({**env, x: sigma}, goal, depth - 1)
                 fn = Abs(x, sigma, body)
                 try:
-                    lat = normalize(typecheck(self.delta, env, fn,
-                                              Mode.PRIMARY).type).latent
+                    lat = typecheck(self.delta, env, fn, Mode.PRIMARY).type.latent
                 except (TypeCheckError, UndeclaredRefinement):
                     raise _GenFail from None
                 arg = self.operand(env, sigma, depth, strict=lat is not None)
@@ -372,13 +362,12 @@ class _Gen:
         return App(App(guarded, fn_arg), num_arg)
 
     def lam(self, env: dict, goal, depth: int) -> Expr:
-        g = normalize(goal)
-        if isinstance(g, Arrow):
-            if g.latent is not None:
+        if isinstance(goal, Arrow):
+            if goal.latent is not None:
                 raise _GenFail  # inferred latents rarely line up; let leaves handle it
             x = self.fresh()
-            return Abs(x, g.arg, self.expr({**env, x: g.arg}, g.res, depth - 1))
-        if g == TOP:
+            return Abs(x, goal.arg, self.expr({**env, x: goal.arg}, goal.res, depth - 1))
+        if goal == TOP:
             sigma = self.rng.choice(self.annots)
             x = self.fresh()
             res = self.rng.choice(self.goals)
@@ -424,7 +413,7 @@ def gen_typed_term(rng: random.Random, max_depth: int, delta: frozenset,
 
 
 def _is_base(t) -> bool:
-    t = normalize(erase_type(t))
+    t = erase_type(t)
     if isinstance(t, (NumT, TrueT, FalseT)):
         return True
     if isinstance(t, UnionT):

@@ -1,10 +1,11 @@
-"""Union normalization, the subtype relation, and the constant type table.
+"""The subtype relation and the constant type table.
 
 The subtype judgment is parameterized by the set of constants declared
 usable as refinement predicates: a query whose types mention a refinement
 whose predicate is undeclared raises `UndeclaredRefinement`, whatever its
-answer would be.  Types are hash-consed (see `otlc.syntax`), so the caches
-keyed on them hash and compare in O(1).  `CONSTANT_TYPES` is the table the
+answer would be.  Types are hash-consed and built in normal form (see
+`otlc.syntax`), so the caches keyed on them hash and compare in O(1), and
+the relation needs no normalization step.  `CONSTANT_TYPES` is the table the
 checker types constants with by default; `otlc.refine` derives the
 erased tables from it.
 """
@@ -46,36 +47,15 @@ CONSTANT_TYPES: dict[Constant, Arrow] = {
 }
 
 
-def constant_type(c: Constant) -> Arrow:
-    return CONSTANT_TYPES[c]
-
-
 def refinement_base(c: Constant) -> Type:
     """The base type refined by predicate `c`: its own argument type."""
     return CONSTANT_TYPES[c].arg
 
 
-@lru_cache(maxsize=None)
 def normalize(t: Type) -> Type:
-    """Flatten nested unions, drop empty members, deduplicate, and collapse
-    one-member unions.  Idempotent; recurs into arrows."""
-    match t:
-        case Arrow(arg, res, latent):
-            return Arrow(normalize(arg), normalize(res),
-                         None if latent is None else normalize(latent))
-        case UnionT(members):
-            flat: list[Type] = []
-            for m in members:
-                n = normalize(m)
-                flat.extend(n.members if isinstance(n, UnionT) else (n,))
-            out = tuple(dict.fromkeys(flat))  # first occurrences, in order
-            return out[0] if len(out) == 1 else UnionT(out)
-        case _:
-            return t
-
-
-def type_equal(s: Type, t: Type) -> bool:
-    return normalize(s) == normalize(t)
+    """The identity: every type is already built in normal form.  Kept only
+    because `bench/run.py` still reads `subtyping.normalize`."""
+    return t
 
 
 def subtype(delta: frozenset[Constant] | set[Constant], s: Type, t: Type) -> bool:
@@ -89,7 +69,7 @@ def _subtype(delta: frozenset[Constant], s: Type, t: Type) -> bool:
     # One cache lookup per call.  _sub may decide without meeting a refinement
     # (s == t, a union member that fits), so _declared checks them all: after
     # _sub, so that a query _sub rejects names the predicate _sub names.
-    result = _sub(delta, normalize(s), normalize(t))
+    result = _sub(delta, s, t)
     _declared(delta, s)
     _declared(delta, t)
     return result

@@ -8,7 +8,11 @@ of a base type by a built-in predicate.
 
 Types are hash-consed: a live type is the only object of its structure, so
 types are equal exactly when identical and hash in O(1).  The table of live
-types holds them weakly.
+types holds them weakly.  Every type is built in normal form: a union's
+members are flattened and deduplicated, first occurrences kept in order,
+and a one-member union is that member.  So two spellings of a type, such
+as (U Number (U Number Boolean)) and (U Number Boolean), are one object,
+and the reader and printer deal in normal forms only.
 """
 
 from __future__ import annotations
@@ -47,6 +51,15 @@ class _HashConsed(type):
         key = (cls, *fields, *(None,) * (len(cls.__match_args__) - len(fields)))
         t = _HashConsed.live.get(key)
         if t is None:
+            if cls is UnionT:
+                # Only normal forms are keys, so a miss may be a respelling.
+                # Members are normal, so one level of flattening suffices.
+                members = tuple(dict.fromkeys(
+                    n for m in fields[0] for n in (m.members if isinstance(m, UnionT) else (m,))))
+                if len(members) == 1:
+                    return members[0]
+                if members != fields[0]:
+                    return UnionT(members)
             t = _HashConsed.live[key] = super().__call__(*fields)
         return t
 
@@ -388,14 +401,7 @@ class _Reader:
             if head == "U":
                 members: list[Type] = []
                 while self.peek() not in (")", ""):
-                    if self.peek() == "Boolean":
-                        # Boolean is (U True False); splice it so that the
-                        # printed form (U Number Boolean) reads back as the
-                        # flat union it denotes
-                        self.next()
-                        members.extend((TRUE_T, FALSE_T))
-                    else:
-                        members.append(self.read_type())
+                    members.append(self.read_type())
                 self.expect(")")
                 return UnionT(tuple(members))
             if head == "->":
@@ -423,9 +429,9 @@ class _Reader:
         if tok == "False":
             return FALSE_T
         if tok == "Boolean":
-            return UnionT((TRUE_T, FALSE_T))
+            return BOOLEAN
         if tok == "Bot":
-            return UnionT(())
+            return BOT
         self.fail("expected a type", last=True)
 
     # -- predicates
@@ -521,11 +527,6 @@ def print_type(t: Type) -> str:
                 if members[i] == TRUE_T and i + 1 < len(members) and members[i + 1] == FALSE_T:
                     parts.append("Boolean")
                     i += 2
-                elif members[i] == BOOLEAN:
-                    # a literally nested (U True False) member must not
-                    # collide with the spliced Boolean keyword
-                    parts.append("(U True False)")
-                    i += 1
                 else:
                     parts.append(print_type(members[i]))
                     i += 1

@@ -4,14 +4,15 @@ Every typing rule is tried independently wherever its premises hold, and
 the full set of derivable (type, predicate) judgments is returned.  The
 metafunctions (restrict, remove, environment updates, predicate
 combination) are re-implemented here from scratch so that a bug in the
-checker's copies cannot hide; only the subtype relation and `normalize`
-are shared, since the typing rules take them as given.
+checker's copies cannot hide; only the subtype relation and the type
+constructors, which build every type in normal form, are shared, since the
+typing rules take them as given.
 """
 
 from __future__ import annotations
 
 from otlc.checker import Mode
-from otlc.subtyping import constant_type, normalize, subtype
+from otlc.subtyping import CONSTANT_TYPES, subtype
 from otlc.syntax import (
     FALSE_T,
     FF,
@@ -45,7 +46,7 @@ def o_restrict(delta, s, t):
     if subtype(delta, s, t):
         return s
     if isinstance(s, UnionT):
-        return normalize(UnionT(tuple(o_restrict(delta, m, t) for m in s.members)))
+        return UnionT(tuple(o_restrict(delta, m, t) for m in s.members))
     return t
 
 
@@ -53,7 +54,7 @@ def o_remove(delta, s, t):
     if subtype(delta, s, t):
         return BOT
     if isinstance(s, UnionT):
-        return normalize(UnionT(tuple(o_remove(delta, m, t) for m in s.members)))
+        return UnionT(tuple(o_remove(delta, m, t) for m in s.members))
     return s
 
 
@@ -77,18 +78,12 @@ def o_env_minus(delta, g, p):
             return dict(g)
 
 
-def _peq(p, q) -> bool:
-    if isinstance(p, TypeOfPred) and isinstance(q, TypeOfPred):
-        return p.var == q.var and normalize(p.type) == normalize(q.type)
-    return p == q
-
-
 def o_combfilter(p1, p2, p3):
-    if _peq(p2, p3):
+    if p2 == p3:
         return p2
     if (isinstance(p1, TypeOfPred) and p2 == TT and isinstance(p3, TypeOfPred)
             and p1.var == p3.var):
-        return TypeOfPred(normalize(UnionT((p1.type, p3.type))), p1.var)
+        return TypeOfPred(UnionT((p1.type, p3.type)), p1.var)
     if p1 == TT:
         return p2
     if p1 == FF:
@@ -99,7 +94,7 @@ def o_combfilter(p1, p2, p3):
 
 
 def o_subpred(p1, p2) -> bool:
-    if _peq(p1, p2):
+    if p1 == p2:
         return True
     if isinstance(p2, NonePred):
         return True
@@ -111,37 +106,35 @@ def o_subpred(p1, p2) -> bool:
 
 
 def derive(delta, g: dict, e: Expr, mode: Mode) -> frozenset:
-    """All (normalize(type), pred) pairs derivable for `e` under `g`."""
+    """All (type, pred) pairs derivable for `e` under `g`."""
     out = set()
     match e:
         case Var(x):
             if x in g:
-                out.add((normalize(g[x]), VarPred(x)))
+                out.add((g[x], VarPred(x)))
         case Num(_):
             out.add((NUM, TT))
         case Const(c):
-            out.add((normalize(constant_type(c)), TT))
+            out.add((CONSTANT_TYPES[c], TT))
         case Bool(v):
             out.add((BOOLEAN, TT if v else FF))
         case Abs(x, sigma, body):
             for (tb, pb) in derive(delta, {**g, x: sigma}, body, mode):
-                out.add((normalize(Arrow(sigma, tb, None)), TT))
+                out.add((Arrow(sigma, tb, None), TT))
                 if isinstance(pb, TypeOfPred) and pb.var == x:
-                    out.add((normalize(Arrow(sigma, tb, pb.type)), TT))
+                    out.add((Arrow(sigma, tb, pb.type), TT))
         case App(e1, e2):
-            for (t1, _) in derive(delta, g, e1, mode):
-                arrow = normalize(t1)
+            for (arrow, _) in derive(delta, g, e1, mode):
                 if not isinstance(arrow, Arrow):
                     continue
                 for (t2, p2) in derive(delta, g, e2, mode):
                     if not subtype(delta, t2, arrow.arg):
                         continue
-                    res = normalize(arrow.res)
+                    res = arrow.res
                     out.add((res, NONE_PRED))
                     if arrow.latent is not None:
                         if isinstance(p2, VarPred):
-                            out.add((res, TypeOfPred(normalize(arrow.latent),
-                                                     p2.var)))
+                            out.add((res, TypeOfPred(arrow.latent, p2.var)))
                         if mode is Mode.EXTENDED:
                             if subtype(delta, t2, arrow.latent):
                                 out.add((res, TT))
@@ -157,6 +150,6 @@ def derive(delta, g: dict, e: Expr, mode: Mode) -> frozenset:
                 else_env = o_env_minus(delta, g, p1)
                 for (t2, p2) in derive(delta, then_env, e2, mode):
                     for (t3, p3) in derive(delta, else_env, e3, mode):
-                        out.add((normalize(UnionT((t2, t3))),
+                        out.add((UnionT((t2, t3)),
                                  o_combfilter(p1, p2, p3)))
     return frozenset(out)

@@ -19,7 +19,7 @@ from otlc.checker import (
 )
 from otlc.harness import FuzzConfig, run_fuzz
 from otlc.semantics import Value, evaluate, trace
-from otlc.subtyping import constant_type, normalize, subtype
+from otlc.subtyping import CONSTANT_TYPES, subtype
 from otlc.syntax import (
     Constant,
     FF,
@@ -58,7 +58,7 @@ def test_criterion_1_golden_judgments():
     g = {"x": parse_type("(U Number Boolean)")}
     p = parse_pred("Number @ x")
     assert env_plus(EMPTY, g, p) == {"x": parse_type("Number")}
-    assert env_minus(EMPTY, g, p) == {"x": normalize(parse_type("Boolean"))}
+    assert env_minus(EMPTY, g, p) == {"x": parse_type("Boolean")}
 
     with pytest.raises(TypeCheckError):
         check("(lambda (x : (U Number Boolean)) (add1 x))")
@@ -165,7 +165,7 @@ def test_criterion_7_combfilter_clauses():
         VarPred("z")
     # clause 2: union of facts about one variable
     assert combfilter(P("Number @ x"), TT, P("Boolean @ x")) == \
-        TypeOfPred(normalize(parse_type("(U Number Boolean)")), "x")
+        TypeOfPred(parse_type("(U Number Boolean)"), "x")
     # clause 3: true test
     assert combfilter(TT, P("Number @ y"), FF) == P("Number @ y")
     # clause 4: false test
@@ -182,7 +182,7 @@ def test_criterion_7_env_ops_worked_example():
     g = {"x": parse_type("(U Number Boolean)")}
     p = parse_pred("Number @ x")
     assert env_plus(EMPTY, g, p) == {"x": parse_type("Number")}
-    assert env_minus(EMPTY, g, p) == {"x": normalize(parse_type("Boolean"))}
+    assert env_minus(EMPTY, g, p) == {"x": parse_type("Boolean")}
     assert env_minus(EMPTY, {"x": parse_type("Top")}, VarPred("x")) == \
         {"x": parse_type("False")}
 
@@ -198,7 +198,7 @@ def test_criterion_7_constant_type_table():
         Constant.ODD_P: "(-> Number Boolean : (Refinement odd?))",
     }
     for c, s in expected.items():
-        assert print_type(constant_type(c)) == s
+        assert print_type(CONSTANT_TYPES[c]) == s
 
 
 # ---------------------------------------------------------------------------

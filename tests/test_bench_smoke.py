@@ -1,7 +1,8 @@
 """Each benchmark workload runs, checks its outputs and fails no operation.
 
 The benchmark reads otlc from outside: it clears every lru cache it finds,
-reads `normalize.cache_info` and rebinds public functions to trace them.
+reads `subtyping.normalize` (now the identity, with no cache to report)
+and rebinds public functions to trace them.
 A short run of each workload shows that the package still offers all that.
 """
 

@@ -41,6 +41,18 @@ def test_check_extended_accepts_counterexample(program, capsys):
     assert capsys.readouterr().out.startswith("Boolean ;")
 
 
+@pytest.mark.parametrize("command,annot,expected", [
+    ("check", "(U Number (U True False) Number)",
+     "(-> (U Number Boolean) (U Number Boolean)) ; tt"),
+    ("trace", "(U Number)", "0: (lambda (x : Number) x)"),
+])
+def test_unions_print_in_normal_form(program, capsys, command, annot, expected):
+    body = "(if (number? x) (add1 x) x)" if command == "check" else "x"
+    path = program(f"(lambda (x : {annot}) {body})")
+    assert main([command, path]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == expected
+
+
 def test_check_parse_error_exit_2(program, capsys):
     path = program("(if 1 2")
     assert main(["check", path]) == EXIT_USAGE
@@ -161,6 +173,15 @@ def test_negative_fuel_is_a_usage_error(program, capsys, command):
     assert out.err == "bad flags: fuel must be nonnegative\n"
 
 
+@pytest.mark.parametrize("command", ["eval", "trace"])
+def test_open_program_unchecked_exit_1(program, capsys, command):
+    path = program("((lambda (x : Number) y) 1)")
+    assert main([command, "--unchecked", path]) == EXIT_FAILURE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "cannot run an open program: unbound variable y\n"
+
+
 def test_trace_rejects_ill_typed_without_unchecked(program, capsys):
     path = program("(add1 #t)")
     assert main(["trace", path]) == EXIT_FAILURE
@@ -193,6 +214,14 @@ def test_fuzz_json_report(tmp_path, capsys):
     assert d["seed"] == 8
     assert d["failures"] == []
     assert d["coverage"]
+
+
+def test_fuzz_unwritable_json_exit_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    assert main(["fuzz", "--count", "2", "--json", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {path}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_fuzz_refinements_flag(capsys):

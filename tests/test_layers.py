@@ -1,5 +1,6 @@
-"""Module layering: every import sits at module level, and each module of
-the package imports only from the layers below it."""
+"""Module layering: every import sits at module level, each module of the
+package imports only from the layers below it, and no module normalizes
+types, which are built in normal form."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,13 @@ def test_only_semantics_reduces_with_step(module):
     names = [a.name for node in ast.walk(_tree(module))
              if isinstance(node, ast.ImportFrom) for a in node.names]
     assert "step" not in names, f"{module}.py imports step"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_normalizes_types(module):
+    # Every type is built in normal form, so `subtyping.normalize` is the
+    # identity; a call to it would bring a second spelling of types back.
+    calls = [node.lineno for node in ast.walk(_tree(module))
+             if isinstance(node, ast.Call)
+             and "normalize" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert calls == [], f"{module}.py calls normalize on lines {calls}"

@@ -1,4 +1,4 @@
-"""Normalization, the constant-type table, the subtype relation, and the
+"""Normal forms, the constant-type table, the subtype relation, and the
 hash-consed representation of types."""
 
 import gc
@@ -8,12 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from otlc.subtyping import (
+    CONSTANT_TYPES,
     UndeclaredRefinement,
-    constant_type,
-    normalize,
     refinement_base,
     subtype,
-    type_equal,
 )
 from otlc.syntax import (
     BOOLEAN,
@@ -54,7 +52,7 @@ EXPECTED_CONSTANT_TYPES = {
 @pytest.mark.parametrize("c,expected", sorted(EXPECTED_CONSTANT_TYPES.items(),
                                               key=lambda kv: kv[0].value))
 def test_constant_type_table(c, expected):
-    assert constant_type(c) == parse_type(expected)
+    assert CONSTANT_TYPES[c] == parse_type(expected)
 
 
 def test_refinement_base_is_the_constant_domain():
@@ -63,31 +61,32 @@ def test_refinement_base_is_the_constant_domain():
 
 
 # ---------------------------------------------------------------------------
-# normalize
+# Normal form: every type is built in it
 
 
 def test_normalize_flattens_and_dedups():
     t = parse_type("(U Number (U Number Boolean))")
-    assert normalize(t) == UnionT((NUM, TRUE_T, FALSE_T))
+    assert t is UnionT((NUM, TRUE_T, FALSE_T))
+    assert t.members == (NUM, TRUE_T, FALSE_T)
 
 
 def test_normalize_collapses_singleton_union():
-    assert normalize(UnionT((NUM,))) == NUM
+    assert UnionT((NUM,)) is NUM
 
 
 def test_normalize_recurses_into_arrows():
     t = parse_type("(-> (U Number Number) (U Boolean) : (U Top Top))")
-    n = normalize(t)
-    assert n == Arrow(NUM, BOOLEAN, TOP)
+    assert t is Arrow(NUM, BOOLEAN, TOP)
 
 
 def test_normalize_keeps_empty_union():
-    assert normalize(BOT) == UnionT(())
+    assert BOT.members == ()
+    assert parse_type("(U Bot (U))") is BOT
 
 
 def test_type_equal_up_to_normalization():
-    assert type_equal(parse_type("(U Number Number)"), NUM)
-    assert not type_equal(NUM, BOOLEAN)
+    assert parse_type("(U Number Number)") is NUM
+    assert NUM != BOOLEAN
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +183,6 @@ def test_subtype_reflexive(t):
     assert subtype(PARITY, t, t)
 
 
-@settings(max_examples=100, deadline=None)
-@given(_types, _types)
-def test_subtype_invariant_under_normalize(s, t):
-    assert subtype(PARITY, s, t) == subtype(PARITY, normalize(s), normalize(t))
-
-
 @settings(max_examples=150, deadline=None)
 @given(_types, _types, _types)
 def test_subtype_transitive(a, b, c):
@@ -210,6 +203,16 @@ def _rebuild(x):
     return x
 
 
+def _nodes(t):
+    """`t` and every type inside it."""
+    yield t
+    for f in t.__match_args__:
+        x = getattr(t, f)
+        for u in x if isinstance(x, tuple) else (x,):
+            if isinstance(u, Type):
+                yield from _nodes(u)
+
+
 def _shape(x):
     """The structure of `x` as nested tuples, with no type objects in it."""
     if isinstance(x, tuple):
@@ -224,8 +227,18 @@ def _shape(x):
 def test_rebuilt_type_is_the_original(t):
     copy = _rebuild(t)
     assert copy is t
-    assert normalize(copy) is normalize(t)
-    assert parse_type(print_type(t)) is t
+    p = print_type(t)
+    assert parse_type(p) is t
+    # Every spelling of a type builds the one object ...
+    assert UnionT((t,)) is t
+    for respelled in (f"(U {p} {p})", f"(U Bot {p})", f"(U (U {p}) {p})"):
+        assert parse_type(respelled) is t
+    # ... and that object is in normal form.
+    for u in _nodes(t):
+        if isinstance(u, UnionT):
+            assert len(u.members) != 1
+            assert len(set(u.members)) == len(u.members)
+            assert not any(isinstance(m, UnionT) for m in u.members)
 
 
 @settings(max_examples=100, deadline=None)
