@@ -24,26 +24,27 @@ def main() -> int:
     ap.add_argument("--depths", type=int, nargs="+", default=[6])
     ap.add_argument("--fuel", type=int, default=1000)
     args = ap.parse_args()
+    try:
+        grid = [FuzzConfig(count=count, seed=seed, max_depth=depth,
+                           fuel=args.fuel, with_refinements=refs)
+                for count in args.counts for seed in args.seeds
+                for depth in args.depths for refs in (False, True)]
+    except ValueError as err:
+        ap.error(str(err))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     bad = 0
-    for count in args.counts:
-        for seed in args.seeds:
-            for depth in args.depths:
-                for refs in (False, True):
-                    cfg = FuzzConfig(count=count, seed=seed, max_depth=depth,
-                                     fuel=args.fuel, with_refinements=refs)
-                    rep = run_fuzz(cfg)
-                    tag = (f"c{count}_s{seed}_d{depth}_"
-                           f"{'refine' if refs else 'base'}")
-                    (out / f"{tag}.json").write_text(rep.to_json(),
-                                                     encoding="utf-8")
-                    n = len(rep.all_failures())
-                    bad += n
-                    print(f"{tag}: {rep.generated} terms, {n} failures, "
-                          f"{rep.elapsed_ms:.0f} ms")
+    for cfg in grid:
+        rep = run_fuzz(cfg)
+        tag = (f"c{cfg.count}_s{cfg.seed}_d{cfg.max_depth}_"
+               f"{'refine' if cfg.with_refinements else 'base'}")
+        (out / f"{tag}.json").write_text(rep.to_json(), encoding="utf-8")
+        n = len(rep.all_failures())
+        bad += n
+        print(f"{tag}: {rep.generated} terms, {n} failures, "
+              f"{rep.elapsed_ms:.0f} ms")
     return 1 if bad else 0
 
 

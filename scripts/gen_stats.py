@@ -21,7 +21,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from otlc.checker import Mode, typecheck  # noqa: E402
 from otlc.harness import MAX_FUZZ_DEPTH, gen_typed_term  # noqa: E402
 from otlc.semantics import trace  # noqa: E402
 from otlc.syntax import Abs, App, Constant, If  # noqa: E402
@@ -50,8 +49,7 @@ def stats(count: int, seeds: list[int], depth: int, fuel: int,
     for seed in seeds:
         for i in range(count):
             e = gen_typed_term(random.Random(f"dist:{seed}:{i}"), depth,
-                               delta, refinements)
-            typecheck(delta, {}, e, Mode.PRIMARY, coverage=coverage)
+                               delta, refinements, coverage=coverage)
             sizes.append(nodes(e))
             steps.append(len(trace(e, fuel)) - 1)
     terms = len(sizes)

@@ -138,6 +138,10 @@ def cmd_fuzz(args) -> int:
     except ValueError as err:
         print(f"bad flags: {err}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        out = open(args.json, "w", encoding="utf-8") if args.json else None
+    except OSError as err:
+        raise _CliError(f"cannot write {args.json}: {err}", EXIT_USAGE) from None
     report = run_fuzz(config)
     failures = report.all_failures()
     print(f"generated {report.generated} terms "
@@ -151,11 +155,9 @@ def cmd_fuzz(args) -> int:
         print(f"  {rule}: {count}")
     for f in failures[:20]:
         print(f"FAIL [{f.kind}] step {f.step}: {f.term}\n  {f.detail}")
-    if args.json:
-        try:
-            Path(args.json).write_text(report.to_json(), encoding="utf-8")
-        except OSError as err:
-            raise _CliError(f"cannot write {args.json}: {err}", EXIT_USAGE) from None
+    if out is not None:
+        with out:
+            out.write(report.to_json())
     return EXIT_OK if not failures else EXIT_FAILURE
 
 

@@ -6,11 +6,11 @@ non-values always step, that terminating runs of base-typed terms end in
 a suitably typed value, and, when refinements are enabled, that erasure
 commutes with reduction and preserves typability.
 
-Subject-reduction judgments are taken on the refinement-erased terms:
-refinement soundness is established by erasure, and the predicates of
-refinement tests on literals are not stable step-to-step in the unerased
-system.  Without refinements erasure is the identity, so this is the
-plain check.
+Subject-reduction judgments are taken on the run of the refinement-erased
+term: refinement soundness is established by erasure, and the predicates
+of refinement tests on literals are not stable step-to-step in the
+unerased system.  Without refinements erasure is the identity, so this
+is the plain check.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from .syntax import (
     UnionT,
     Var,
     VarPred,
-    free_vars,
     is_value,
     parse_expr,
     print_expr,
@@ -212,16 +211,12 @@ class _Gen:
                 if not members:
                     raise _GenFail
                 return self.literal(env, self.rng.choice(members))
-            case Arrow(arg, res, latent):
-                if latent is None:
-                    for c in Constant:
-                        if self.fits(CONSTANT_TYPES[c], g) and self.rng.random() < 0.4:
-                            return Const(c)
+            case Arrow(arg, res, _):
+                for c in Constant:
+                    if self.fits(CONSTANT_TYPES[c], g) and self.rng.random() < 0.4:
+                        return Const(c)
                 x = self.fresh()
-                body = self.expr({**env, x: arg}, res, 1)
-                e = Abs(x, arg, body)
-                # the inferred latent must match; revalidation catches misses
-                return e
+                return Abs(x, arg, self.expr({**env, x: arg}, res, 1))
             case Refine(_):
                 usable = [x for x, t in env.items() if self.fits(t, g)]
                 if not usable:
@@ -263,14 +258,11 @@ class _Gen:
         j1, je1 = self.vet(env, test)
         if isinstance(j1.pred, VarPred):
             raise _GenFail
-        try:
-            env_then = env_plus(self.delta, env, j1.pred)
-            env_else = env_minus(self.delta, env, j1.pred)
-            erased = erase_env(env)
-            chain_then = env_plus(frozenset(), erased, je1.pred)
-            chain_else = env_minus(frozenset(), erased, je1.pred)
-        except (TypeCheckError, UndeclaredRefinement):
-            raise _GenFail from None
+        env_then = env_plus(self.delta, env, j1.pred)
+        env_else = env_minus(self.delta, env, j1.pred)
+        erased = erase_env(env)
+        chain_then = env_plus(frozenset(), erased, je1.pred)
+        chain_else = env_minus(frozenset(), erased, je1.pred)
         # Branches are generated under the primary narrowing; they stay
         # typeable when re-judged only if the chain-side narrowing is at
         # least as strong pointwise (a dead branch narrowed to the empty
@@ -329,10 +321,7 @@ class _Gen:
                 x = self.fresh()
                 body = self.expr({**env, x: sigma}, goal, depth - 1)
                 fn = Abs(x, sigma, body)
-                try:
-                    lat = typecheck(self.delta, env, fn, Mode.PRIMARY).type.latent
-                except (TypeCheckError, UndeclaredRefinement):
-                    raise _GenFail from None
+                lat = typecheck(self.delta, env, fn, Mode.PRIMARY).type.latent
                 arg = self.operand(env, sigma, depth, strict=lat is not None)
                 return App(fn, arg)
 
@@ -363,8 +352,6 @@ class _Gen:
 
     def lam(self, env: dict, goal, depth: int) -> Expr:
         if isinstance(goal, Arrow):
-            if goal.latent is not None:
-                raise _GenFail  # inferred latents rarely line up; let leaves handle it
             x = self.fresh()
             return Abs(x, goal.arg, self.expr({**env, x: goal.arg}, goal.res, depth - 1))
         if goal == TOP:
@@ -379,31 +366,16 @@ def gen_typed_term(rng: random.Random, max_depth: int, delta: frozenset,
                    with_refinements: bool = False,
                    coverage: dict[str, int] | None = None) -> Expr:
     """A closed term that typechecks with the primary rules under `delta`.
-    `coverage`, when given, counts the rules of the term's primary
-    judgment, as `typecheck` does; the judgment is taken once, here."""
+    The generator builds terms by the typing rules, so each is well typed
+    by construction; the primary judgment is taken once, here, and a
+    failing one raises (`TypeCheckError` or `UndeclaredRefinement`) as the
+    generator bug it is.  `coverage`, when given, counts the rules of that
+    judgment, as `typecheck` does."""
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     delta = frozenset(delta)
-    for attempt in range(60):
-        depth = max(1, max_depth - attempt // 20)
-        gen = _Gen(rng, delta, with_refinements)
-        goal = rng.choice(gen.goals)
-        try:
-            e = gen.expr({}, goal, depth)
-        except _GenFail:
-            continue
-        if free_vars(e):
-            continue
-        rules = None if coverage is None else {}
-        try:
-            typecheck(delta, {}, e, Mode.PRIMARY, coverage=rules)
-        except (TypeCheckError, UndeclaredRefinement):
-            continue
-        if rules:
-            for rule, n in rules.items():
-                coverage[rule] = coverage.get(rule, 0) + n
-        return e
-    e = Num(rng.randint(0, 9))
+    gen = _Gen(rng, delta, with_refinements)
+    e = gen.expr({}, rng.choice(gen.goals), max_depth)
     typecheck(delta, {}, e, Mode.PRIMARY, coverage=coverage)
     return e
 
@@ -413,7 +385,6 @@ def gen_typed_term(rng: random.Random, max_depth: int, delta: frozenset,
 
 
 def _is_base(t) -> bool:
-    t = erase_type(t)
     if isinstance(t, (NumT, TrueT, FalseT)):
         return True
     if isinstance(t, UnionT):
@@ -431,15 +402,13 @@ def check_subject_reduction(e: Expr, fuel: int, delta: frozenset,
     def fail(kind: str, i: int, detail: str):
         failures.append(FuzzFailure(kind, print_expr(e), i, detail))
 
-    tr = trace(e, fuel)
+    tr = trace(erase_expr(e), fuel)
 
-    erased = []
     judgments = []
     for i, term in enumerate(tr):
-        erased.append(erase_expr(term))
         try:
             judgments.append(
-                typecheck(frozenset(), {}, erased[i], Mode.EXTENDED,
+                typecheck(frozenset(), {}, term, Mode.EXTENDED,
                           constants=CHAIN_CONSTANT_TYPES))
         except TypeCheckError as err:
             fail("preservation", i, f"intermediate term untypeable: {err}")
@@ -471,10 +440,10 @@ def check_subject_reduction(e: Expr, fuel: int, delta: frozenset,
         if not erased_judgment_holds(delta, {}, e):
             fail("erased-typing", 0, "erased term does not carry the erased judgment")
         # The erased run must be the erased chain, term by term and no longer.
-        erased_run = trace(erased[0], fuel)
-        if erased_run != erased:
-            i = next((i for i, (a, b) in enumerate(zip(erased_run, erased)) if a != b),
-                     min(len(erased_run), len(erased)))
+        erased = [erase_expr(t) for t in trace(e, fuel)]
+        if tr != erased:
+            i = next((i for i, (a, b) in enumerate(zip(tr, erased)) if a != b),
+                     min(len(tr), len(erased)))
             fail("erasure-commutation", i - 1, "erasure does not commute with reduction")
 
     return failures

@@ -8,7 +8,7 @@ import pytest
 
 import otlc.harness as harness
 import otlc.semantics as semantics
-from otlc.checker import Mode, typecheck
+from otlc.checker import Mode, TypeCheckError, typecheck
 from otlc.harness import (
     FuzzConfig,
     FuzzFailure,
@@ -94,14 +94,13 @@ def test_gen_coverage_is_the_returned_terms_judgment(refinements):
     assert got == want
 
 
-def test_gen_coverage_counts_the_fallback(monkeypatch):
-    def no_term(*args):
-        raise harness._GenFail
-    monkeypatch.setattr(harness._Gen, "expr", no_term)
-    cov = {}
-    e = gen_typed_term(random.Random(0), 5, EMPTY, coverage=cov)
-    assert isinstance(e, Num) and 0 <= e.value <= 9
-    assert cov == {"T-Num": 1}
+def test_gen_raises_on_an_ill_typed_term(monkeypatch):
+    # Terms are well typed by construction, so an ill-typed one is a
+    # generator bug: it must surface, not be retried or replaced.
+    monkeypatch.setattr(harness._Gen, "expr",
+                        lambda *args: parse_expr("(add1 #t)"))
+    with pytest.raises(TypeCheckError):
+        gen_typed_term(random.Random(0), 5, EMPTY)
 
 
 def _nodes(e) -> int:
@@ -194,6 +193,23 @@ def test_subject_reduction_flags_erasure_that_does_not_commute(monkeypatch, src,
     monkeypatch.setattr(harness, "erase_expr", bad_erase)
     fails = check_subject_reduction(parse_expr(src), 10, BOTH, True)
     assert [(f.kind, f.step) for f in fails] == [("erasure-commutation", at)]
+
+
+@pytest.mark.parametrize("refinements,calls", [(False, 1), (True, 4)])
+def test_subject_reduction_erases_the_term_once(monkeypatch, refinements, calls):
+    # The chain is the run of the erased term; only erasure commutation
+    # erases the unerased run, term by term.
+    real_erase = harness.erase_expr
+    erased = []
+
+    def counting_erase(e):
+        erased.append(e)
+        return real_erase(e)
+
+    monkeypatch.setattr(harness, "erase_expr", counting_erase)
+    e = parse_expr("(add1 (add1 1))")
+    assert check_subject_reduction(e, 10, BOTH, refinements) == []
+    assert len(erased) == calls
 
 
 # Terms that fail subject reduction in the extended mode the chains are
