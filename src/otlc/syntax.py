@@ -235,27 +235,55 @@ def free_vars(e: Expr) -> frozenset[str]:
     return frozenset(free)
 
 
-def substitute(body: Expr, x: str, v: Expr) -> Expr:
-    """Replace free occurrences of `x` in `body` with the closed value `v`."""
-    if free_vars(v):
-        raise ValueError(f"substitute: replacement term is not closed: {print_expr(v)}")
-
-    def go(e: Expr) -> Expr:
-        match e:
-            case Var(name):
-                return v if name == x else e
-            case Abs(param, annot, b):
-                if param == x:  # shadowed
-                    return e
-                return Abs(param, annot, go(b))
-            case App(rator, rand):
-                return App(go(rator), go(rand))
-            case If(test, then, els):
-                return If(go(test), go(then), go(els))
-            case _:
-                return e
-
-    return go(body)
+def substitute(body: Expr, env: dict[str, Expr]) -> Expr:
+    """Replace the free occurrences in `body` of each variable that `env`
+    binds with its closed value.  The walk is iterative, so it takes input
+    of any depth, and a subterm in which nothing is replaced is shared with
+    `body` rather than rebuilt."""
+    for v in env.values():
+        if free_vars(v):
+            raise ValueError(f"substitute: replacement term is not closed: {print_expr(v)}")
+    shadowed: dict[str, int] = {}  # name -> number of enclosing binders of it
+    todo: list = [body]  # terms to walk, and (node,) to rebuild node
+    done: list[Expr] = []  # the results, innermost last
+    while todo:
+        node = todo.pop()
+        cls = node.__class__
+        if cls is Var:
+            name = node.name
+            done.append(env[name] if name in env and not shadowed.get(name) else node)
+        elif cls is App:
+            todo += ((node,), node.rand, node.rator)
+        elif cls is If:
+            todo += ((node,), node.els, node.then, node.test)
+        elif cls is Abs:
+            if node.param in env:
+                if len(env) == 1:  # nothing below it is replaced
+                    done.append(node)
+                    continue
+                shadowed[node.param] = shadowed.get(node.param, 0) + 1
+            todo += ((node,), node.body)
+        elif cls is tuple:
+            (node,) = node
+            cls = node.__class__
+            if cls is App:
+                rand, rator = done.pop(), done.pop()
+                if rator is not node.rator or rand is not node.rand:
+                    node = App(rator, rand)
+            elif cls is If:
+                els, then, test = done.pop(), done.pop(), done.pop()
+                if test is not node.test or then is not node.then or els is not node.els:
+                    node = If(test, then, els)
+            else:
+                b = done.pop()
+                if node.param in env:
+                    shadowed[node.param] -= 1
+                if b is not node.body:
+                    node = Abs(node.param, node.annot, b)
+            done.append(node)
+        else:
+            done.append(node)
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

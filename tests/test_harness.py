@@ -18,7 +18,7 @@ from otlc.harness import (
     run_fuzz,
     shrink_failure,
 )
-from otlc.semantics import Stuck, Value, evaluate, trace
+from otlc.semantics import Value, evaluate, trace
 from otlc.syntax import (
     Abs,
     App,
@@ -170,14 +170,14 @@ def test_subject_reduction_flags_fuel_exhaustion():
 def test_subject_reduction_flags_stuck_terms(monkeypatch):
     # Progress violations cannot arise from well-typed terms, so force one
     # by making the evaluator refuse a δ-step.
-    real_contract = semantics._contract
+    real_apply = semantics.apply_constant
 
-    def broken_contract(redex):
-        if print_expr(redex) == "(add1 41)":
-            return Stuck("add1 is not defined on this operand", redex)
-        return real_contract(redex)
+    def broken_apply(c, v):
+        if c == Constant.ADD1 and v == Num(41):
+            return None
+        return real_apply(c, v)
 
-    monkeypatch.setattr(semantics, "_contract", broken_contract)
+    monkeypatch.setattr(semantics, "apply_constant", broken_apply)
     fails = check_subject_reduction(parse_expr("(add1 (add1 40))"), 10, EMPTY)
     assert any(f.kind == "progress" for f in fails)
 
@@ -307,14 +307,9 @@ def test_shrink_respects_budget():
 
 
 def test_swapped_if_branches_are_detected(monkeypatch):
-    real_contract = semantics._contract
-
-    def bad_contract(redex):
-        if isinstance(redex, If):
-            return real_contract(If(redex.test, redex.els, redex.then))
-        return real_contract(redex)
-
-    monkeypatch.setattr(semantics, "_contract", bad_contract)
+    # The `if` rule takes the branch `_is_false` picks; invert it.
+    real_is_false = semantics._is_false
+    monkeypatch.setattr(semantics, "_is_false", lambda v: not real_is_false(v))
 
     rep = run_fuzz(FuzzConfig(count=250, seed=4))
     assert rep.all_failures(), "mutated semantics went unnoticed"

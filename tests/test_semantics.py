@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import otlc.semantics as semantics
 from otlc.checker import Mode, typecheck
 from otlc.harness import gen_typed_term
 from otlc.semantics import (
@@ -28,7 +29,10 @@ from otlc.syntax import (
     Bool,
     Const,
     Constant,
+    If,
+    NUM,
     Num,
+    TOP,
     Var,
     is_value,
     parse_expr,
@@ -246,6 +250,10 @@ def _machine_terms():
     for i in range(200):
         e = gen_typed_term(random.Random(f"machine:{i}"), 6, frozenset())
         yield f"gen:{i}", e
+    parity = frozenset({Constant.EVEN_P, Constant.ODD_P})
+    for i in range(200):
+        e = gen_typed_term(random.Random(f"machine-refine:{i}"), 6, parity, True)
+        yield f"gen-refine:{i}", e
     for src in [
         "(add1 (5 5))",
         "(if (add1 #t) 1 2)",
@@ -254,6 +262,19 @@ def _machine_terms():
         "(if (if #f 1 #f) (add1 (add1 1)) (not (even? #t)))",
         "((lambda (f : Top) (f (f 1))) (if #t add1 not))",
         "(add1 (add1 (add1 (add1 (add1 (add1 (add1 (add1 0))))))))",
+        # A closure as the value, and a binder inside it that shadows.
+        "((lambda (x : Number) (lambda (y : Top) x)) 5)",
+        "((lambda (x : Number) (lambda (x : Top) x)) 5)",
+        "((lambda (x : Number) (lambda (y : Top) ((lambda (x : Top) x) x))) 5)",
+        # A captured closure applied twice.
+        "((lambda (k : Number) ((lambda (f : (-> Number Number)) (f (f 1))) "
+        "(lambda (y : Number) (if (even? y) k (add1 y))))) 4)",
+        # Stuck, and out of fuel, under a non-empty environment, with
+        # closures and pending subterms in the context.
+        "((lambda (x : Top) (add1 x)) #t)",
+        "((lambda (x : Top) ((lambda (g : Top) (if (g x) x (add1 x))) (lambda (z : Top) x))) #f)",
+        "((lambda (x : Number) ((lambda (y : Number) (if (even? y) (lambda (z : Top) (add1 x)) y)) "
+        "(add1 (add1 x)))) 2)",
     ]:
         yield src, E(src)
 
@@ -279,10 +300,80 @@ def test_evaluate_matches_loop_over_step_at_every_fuel():
             assert trace(e, fuel) == terms[:fuel + 1], (name, fuel)
 
 
+def add1_tower(e, depth):
+    for _ in range(depth):
+        e = App(Const(Constant.ADD1), e)
+    return e
+
+
+def unwind_add1_tower(e):
+    """The depth of an `add1` tower and the term at its base, found by a
+    loop: `==` and `print_expr` recurse on the depth."""
+    depth = 0
+    while isinstance(e, App) and e.rator == Const(Constant.ADD1):
+        depth, e = depth + 1, e.rand
+    return depth, e
+
+
+def let_chain(n, body=None):
+    """`x1` bound to 7, each later `xi` to `(add1 x(i-1))`, and `body`, by
+    default `xn`, as nested applied λs built as an AST."""
+    body = Var(f"x{n}") if body is None else body
+    for i in range(n, 0, -1):
+        bound = Num(7) if i == 1 else App(Const(Constant.ADD1), Var(f"x{i - 1}"))
+        body = App(Abs(f"x{i}", NUM, body), bound)
+    return body
+
+
 def test_evaluate_deep_add1_tower():
     # Built as an AST: the reader still recurses on nesting depth.
     n, depth = 7, 10**5
-    e = Num(n)
-    for _ in range(depth):
-        e = App(Const(Constant.ADD1), e)
-    assert evaluate(e, depth) == Value(Num(n + depth))
+    assert evaluate(add1_tower(Num(n), depth), depth) == Value(Num(n + depth))
+
+
+def test_evaluate_deep_let_chain():
+    n = 10**4
+    assert evaluate(let_chain(n), 2 * n) == Value(Num(7 + n - 1))
+
+
+def test_trace_substitutes_into_a_deep_body():
+    depth = 10**4
+    e = App(Abs("x", NUM, add1_tower(Var("x"), depth)), Num(5))
+    ts = trace(e, 2)
+    assert len(ts) == 3
+    assert unwind_add1_tower(ts[1]) == (depth, Num(5))
+    assert unwind_add1_tower(ts[2]) == (depth - 1, Num(6))
+
+
+def nodes(e):
+    n, todo = 0, [e]
+    while todo:
+        e = todo.pop()
+        n += 1
+        if isinstance(e, App):
+            todo += (e.rator, e.rand)
+        elif isinstance(e, If):
+            todo += (e.test, e.then, e.els)
+        elif isinstance(e, Abs):
+            todo.append(e.body)
+    return n
+
+
+def test_evaluate_walks_a_let_chain_in_linear_time(monkeypatch):
+    # β binds instead of substituting, so no step walks the rest of the
+    # chain; substituting at each β walks Θ(n²) nodes in all, 624,750
+    # here.
+    walked = 0
+    real_substitute = semantics.substitute
+
+    def counting_substitute(body, *rest):
+        nonlocal walked
+        walked += nodes(body)
+        return real_substitute(body, *rest)
+
+    monkeypatch.setattr(semantics, "substitute", counting_substitute)
+    n = 500
+    # The value is a closure over the last binding, so it is read back.
+    out = evaluate(let_chain(n, Abs("y", TOP, Var(f"x{n}"))), 2 * n)
+    assert out == Value(Abs("y", TOP, Num(7 + n - 1)))
+    assert walked < 4 * n

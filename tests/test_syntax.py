@@ -188,13 +188,16 @@ def test_free_vars():
 
 def test_substitute_respects_binding():
     e = parse_expr("(lambda (x : Top) (f x))")
-    got = substitute(e, "f", Const(Constant.ADD1))
+    got = substitute(e, {"f": Const(Constant.ADD1)})
     assert got == parse_expr("(lambda (x : Top) (add1 x))")
     # The bound occurrence is untouched.
-    assert substitute(e, "x", Num(1)) == e
+    assert substitute(e, {"x": Num(1)}) == e
+    # With several bindings, a binder hides only its own name.
+    e = parse_expr("(x (lambda (x : Top) (x y)))")
+    assert substitute(e, {"x": Num(1), "y": Num(2)}) == parse_expr("(1 (lambda (x : Top) (x 2)))")
 
 
 def test_substitute_in_if_and_app():
     e = parse_expr("(if x (x 1) x)")
     v = Const(Constant.NOT)
-    assert substitute(e, "x", v) == parse_expr("(if not (not 1) not)")
+    assert substitute(e, {"x": v}) == parse_expr("(if not (not 1) not)")
