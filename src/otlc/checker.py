@@ -69,9 +69,6 @@ class TypeCheckError(Exception):
         self.trail = [rule]
         super().__init__(detail)
 
-    def push(self, rule: str):
-        self.trail.append(rule)
-
     def __str__(self) -> str:
         via = " > ".join(reversed(self.trail))
         return f"{self.rule}: {self.detail} at {print_expr(self.expr)} [via {via}]"
@@ -163,102 +160,112 @@ def typecheck(
     coverage: dict[str, int] | None = None,
     constants: dict[Constant, Arrow] = CONSTANT_TYPES,
 ) -> Judgment:
-    """Derive the type and visible predicate of `e` under `g`.
+    """Derive the type and visible predicate of `e` under `g`, with an
+    explicit stack of premise frames, so a term of any depth checks.
 
     `coverage`, when given, counts how often each typing rule fires.
     `constants` gives the type of each constant: `CONSTANT_TYPES`, or one
     of the erased tables of `otlc.refine`.
     """
     delta = frozenset(delta)
+    extended = mode is Mode.EXTENDED
 
     def hit(rule: str):
         if coverage is not None:
             coverage[rule] = coverage.get(rule, 0) + 1
 
-    def under(rule: str, g: TypeEnv, e: Expr) -> Judgment:
-        """Judge a premise of `rule`, adding `rule` to the trail of its error."""
-        try:
-            return check(g, e)
-        except TypeCheckError as err:
-            err.push(rule)
-            raise
-
-    def check(g: TypeEnv, e: Expr) -> Judgment:
-        match e:
-            case Var(name):
-                t = _lookup(g, name, e)
-                hit("T-Var")
-                return Judgment(t, VarPred(name))
-            case Num(_):
-                hit("T-Num")
-                return Judgment(NUM, TT)
-            case Const(c):
-                hit("T-Const")
-                return Judgment(constants[c], TT)
-            case Bool(value):
-                hit("T-True" if value else "T-False")
-                return Judgment(BOOLEAN, TT if value else FF)
-            case Abs(param, annot, body):
-                jb = under("T-Abs", {**g, param: annot}, body)
-                if isinstance(jb.pred, TypeOfPred) and jb.pred.var == param:
-                    hit("T-AbsPred")
-                    return Judgment(Arrow(annot, jb.type, jb.pred.type), TT)
-                hit("T-Abs")
-                return Judgment(Arrow(annot, jb.type, None), TT)
-            case App(rator, rand):
-                return check_app(g, e, rator, rand)
-            case If(test, then, els):
-                return check_if(g, e, test, then, els)
-        raise TypeCheckError("T-?", e, f"not an expression: {e!r}")
-
-    def check_app(g: TypeEnv, e: Expr, rator: Expr, rand: Expr) -> Judgment:
-        j1 = under("T-App", g, rator)
-        j2 = under("T-App", g, rand)
-        op_type = j1.type
-        if not isinstance(op_type, Arrow):
-            raise TypeCheckError(
-                "T-App", e, f"operator has non-function type {print_type(j1.type)}")
-        if not subtype(delta, j2.type, op_type.arg):
-            raise TypeCheckError(
-                "T-App", e,
-                f"argument type {print_type(j2.type)} is not a subtype of "
-                f"{print_type(op_type.arg)}")
-        latent = op_type.latent
-        # A variable operand keeps the informative per-variable predicate;
-        # letting the constant-predicate rules win there makes the extended
-        # judgment diverge from the primary one inside binders.  On value
-        # operands they are the rules that keep reducts typeable.
-        if latent is not None and isinstance(j2.pred, VarPred):
-            hit("T-AppPred")
-            return Judgment(op_type.res, TypeOfPred(latent, j2.pred.var))
-        if mode is Mode.EXTENDED and latent is not None:
-            if subtype(delta, j2.type, latent):
-                hit("T-AppPredTrue")
-                return Judgment(op_type.res, TT)
-            if is_value(rand) and not free_vars(rand):
-                hit("T-AppPredFalse")
-                return Judgment(op_type.res, FF)
-        hit("T-App")
-        return Judgment(op_type.res, NONE_PRED)
-
-    def check_if(g: TypeEnv, e: Expr, test: Expr, then: Expr, els: Expr) -> Judgment:
-        j1 = under("T-If", g, test)
-        if mode is Mode.EXTENDED:
-            if isinstance(j1.pred, TruePred):
-                j2 = under("T-IfTrue", g, then)
-                hit("T-IfTrue")
-                return j2
-            if isinstance(j1.pred, FalsePred):
-                j3 = under("T-IfFalse", g, els)
-                hit("T-IfFalse")
-                return j3
-        # the narrowed environments only mention variables of `g`, so
-        # building them cannot fail
-        j2 = under("T-If", env_plus(delta, g, j1.pred), then)
-        j3 = under("T-If", env_minus(delta, g, j1.pred), els)
-        hit("T-If")
-        return Judgment(UnionT((j2.type, j3.type)),
-                        combfilter(j1.pred, j2.pred, j3.pred))
-
-    return check(dict(g), e)
-
+    # One frame per judgment waiting on a premise: (the rule the premise is
+    # judged under, the node, the node's environment, the judgments of its
+    # premises so far).  A frame is off the stack while its node concludes,
+    # so an error's trail names the rules of the frames above that node.
+    frames: list[tuple] = []
+    g = dict(g)
+    try:
+        while True:
+            # Descend to the leftmost premise not yet judged.
+            cls = e.__class__
+            if cls is App:
+                frames.append(("T-App", e, g, ()))
+                e = e.rator
+                continue
+            if cls is If:
+                frames.append(("T-If", e, g, ()))
+                e = e.test
+                continue
+            if cls is Abs:
+                frames.append(("T-Abs", e, g, ()))
+                e, g = e.body, {**g, e.param: e.annot}
+                continue
+            if cls is Var:
+                rule, j = "T-Var", Judgment(_lookup(g, e.name, e), VarPred(e.name))
+            elif cls is Num:
+                rule, j = "T-Num", Judgment(NUM, TT)
+            elif cls is Const:
+                rule, j = "T-Const", Judgment(constants[e.c], TT)
+            elif cls is Bool:
+                rule, pred = ("T-True", TT) if e.value else ("T-False", FF)
+                j = Judgment(BOOLEAN, pred)
+            else:
+                raise TypeCheckError("T-?", e, f"not an expression: {e!r}")
+            hit(rule)
+            # Hand `j` up to the first frame with a premise left, which
+            # becomes `e` under `g`.
+            while frames:
+                rule, node, env, js = frames.pop()
+                js += (j,)
+                if rule == "T-App":
+                    if len(js) == 1:
+                        frames.append((rule, node, env, js))
+                        e, g = node.rand, env
+                        break
+                    op_type = js[0].type
+                    if not isinstance(op_type, Arrow):
+                        raise TypeCheckError(
+                            "T-App", node, f"operator has non-function type {print_type(op_type)}")
+                    if not subtype(delta, j.type, op_type.arg):
+                        raise TypeCheckError(
+                            "T-App", node,
+                            f"argument type {print_type(j.type)} is not a subtype of "
+                            f"{print_type(op_type.arg)}")
+                    # A variable operand keeps the informative per-variable
+                    # predicate; letting the constant-predicate rules win
+                    # there makes the extended judgment diverge from the
+                    # primary one inside binders.  On value operands they
+                    # are the rules that keep reducts typeable.
+                    latent, rule, pred = op_type.latent, "T-App", NONE_PRED
+                    if latent is not None and isinstance(j.pred, VarPred):
+                        rule, pred = "T-AppPred", TypeOfPred(latent, j.pred.var)
+                    elif extended and latent is not None:
+                        if subtype(delta, j.type, latent):
+                            rule, pred = "T-AppPredTrue", TT
+                        elif is_value(node.rand) and not free_vars(node.rand):
+                            rule, pred = "T-AppPredFalse", FF
+                    hit(rule)
+                    j = Judgment(op_type.res, pred)
+                elif rule == "T-If":
+                    if len(js) == 1 and extended and isinstance(j.pred, (TruePred, FalsePred)):
+                        taken = isinstance(j.pred, TruePred)
+                        frames.append(("T-IfTrue" if taken else "T-IfFalse", node, env, js))
+                        e, g = node.then if taken else node.els, env
+                        break
+                    # the narrowed environments only mention variables of
+                    # `env`, so building them cannot fail
+                    if len(js) < 3:
+                        e, g = ((node.then, env_plus(delta, env, j.pred)) if len(js) == 1
+                                else (node.els, env_minus(delta, env, js[0].pred)))
+                        frames.append((rule, node, env, js))
+                        break
+                    hit("T-If")
+                    j = Judgment(UnionT((js[1].type, j.type)), combfilter(*(x.pred for x in js)))
+                elif rule == "T-Abs":
+                    pred = j.pred
+                    latent = pred.type if isinstance(pred, TypeOfPred) and pred.var == node.param else None
+                    hit("T-Abs" if latent is None else "T-AbsPred")
+                    j = Judgment(Arrow(node.annot, j.type, latent), TT)
+                else:  # the taken branch of T-IfTrue or T-IfFalse
+                    hit(rule)
+            else:
+                return j
+    except TypeCheckError as err:
+        err.trail += [frame[0] for frame in reversed(frames)]
+        raise

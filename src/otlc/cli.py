@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 type or evaluation failure (an open program run
 `--unchecked` among them), 2 usage or parse error: bad flags (a negative
 `--fuel` among them), a file that cannot be read or is not UTF-8, a
-`--json` report that cannot be written, or input nested too deeply for
-the recursive reader and checker.
+`--json` report that cannot be written, or a type annotation nested a few
+hundred levels deep, too deep for the recursive type reader.  A term of
+any depth is accepted.
 """
 
 from __future__ import annotations
@@ -61,73 +62,56 @@ def _load_program(path: str, delta_flag: str | None):
     return frozenset(delta), expr
 
 
+def _judge(delta, expr, mode: Mode):
+    try:
+        return typecheck(delta, {}, expr, mode)
+    except (TypeCheckError, UndeclaredRefinement) as err:
+        raise _CliError(f"type error: {err}", EXIT_FAILURE) from None
+
+
 def cmd_check(args) -> int:
     delta, expr = _load_program(args.file, args.delta)
-    mode = Mode.EXTENDED if args.extended else Mode.PRIMARY
-    try:
-        j = typecheck(delta, {}, expr, mode)
-    except (TypeCheckError, UndeclaredRefinement) as err:
-        print(f"type error: {err}", file=sys.stderr)
-        return EXIT_FAILURE
+    j = _judge(delta, expr, Mode.EXTENDED if args.extended else Mode.PRIMARY)
     print(f"{print_type(j.type)} ; {print_pred(j.pred)}")
     return EXIT_OK
 
 
-def _check_before_run(delta, expr, unchecked: bool) -> int | None:
-    """The exit code of a program that must not run: one that is ill-typed
-    or, unchecked, open."""
-    if unchecked:
-        free = free_vars(expr)
-        if not free:
-            return None
-        print(f"cannot run an open program: unbound variable {', '.join(sorted(free))}",
-              file=sys.stderr)
-        return EXIT_FAILURE
-    try:
-        typecheck(delta, {}, expr, Mode.PRIMARY)
-    except (TypeCheckError, UndeclaredRefinement) as err:
-        print(f"type error: {err}", file=sys.stderr)
-        return EXIT_FAILURE
-    return None
+def _runnable(args):
+    """The program of `args`, which must be well typed or, run unchecked,
+    closed."""
+    delta, expr = _load_program(args.file, args.delta)
+    if not args.unchecked:
+        _judge(delta, expr, Mode.PRIMARY)
+    elif free := free_vars(expr):
+        raise _CliError(f"cannot run an open program: unbound variable {', '.join(sorted(free))}",
+                        EXIT_FAILURE)
+    return expr
 
 
 def cmd_eval(args) -> int:
-    delta, expr = _load_program(args.file, args.delta)
-    bad = _check_before_run(delta, expr, args.unchecked)
-    if bad is not None:
-        return bad
-    outcome = evaluate(expr, args.fuel)
-    match outcome:
+    match evaluate(_runnable(args), args.fuel):
         case Value(v):
             print(print_expr(v))
             return EXIT_OK
         case StuckAt(e, reason):
-            print(f"stuck: {reason} at {print_expr(e)}", file=sys.stderr)
-            return EXIT_FAILURE
+            raise _CliError(f"stuck: {reason} at {print_expr(e)}", EXIT_FAILURE)
         case FuelExhausted(last, steps):
-            print(f"fuel exhausted after {steps} steps at {print_expr(last)}",
-                  file=sys.stderr)
-            return EXIT_FAILURE
+            raise _CliError(f"fuel exhausted after {steps} steps at {print_expr(last)}",
+                            EXIT_FAILURE)
     return EXIT_FAILURE
 
 
 def cmd_trace(args) -> int:
-    delta, expr = _load_program(args.file, args.delta)
-    bad = _check_before_run(delta, expr, args.unchecked)
-    if bad is not None:
-        return bad
-    steps = trace(expr, args.fuel)
+    steps = trace(_runnable(args), args.fuel)
     for i, term in enumerate(steps):
         print(f"{i}: {print_expr(term)}")
     match evaluate(steps[-1], 0):
         case Value():
             return EXIT_OK
         case StuckAt(e, reason):
-            print(f"stuck: {reason} at {print_expr(e)}", file=sys.stderr)
-            return EXIT_FAILURE
+            raise _CliError(f"stuck: {reason} at {print_expr(e)}", EXIT_FAILURE)
         case _:
-            print("fuel exhausted", file=sys.stderr)
-            return EXIT_FAILURE
+            raise _CliError("fuel exhausted", EXIT_FAILURE)
 
 
 def cmd_fuzz(args) -> int:

@@ -15,6 +15,7 @@ is the plain check.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
@@ -62,6 +63,8 @@ from .syntax import (
     UnionT,
     Var,
     VarPred,
+    _rebuild,
+    fold,
     is_value,
     parse_expr,
     print_expr,
@@ -453,39 +456,30 @@ def check_subject_reduction(e: Expr, fuel: int, delta: frozenset,
 # Shrinking
 
 
-def _positions(e: Expr, path=()) -> list[tuple]:
-    out = [path]
-    match e:
-        case Abs(_, _, body):
-            out += _positions(body, path + ("body",))
-        case App(rator, rand):
-            out += _positions(rator, path + ("rator",))
-            out += _positions(rand, path + ("rand",))
-        case If(test, then, els):
-            out += _positions(test, path + ("test",))
-            out += _positions(then, path + ("then",))
-            out += _positions(els, path + ("els",))
-    return out
+def _positions(e: Expr) -> list[int]:
+    """The nodes of `e` in pre-order, each named by its post-order index.
+    A subtree holds the post-order indices from its first leaf's to its
+    root's, so pre-order sorts by the first one, the larger subtree (the
+    ancestor) first."""
+    spans: list[tuple[int, int]] = []  # (first index, -size) per node, in post-order
+
+    def visit(x, sizes=()):
+        size = 1 + sum(sizes)
+        spans.append((len(spans) + 1 - size, -size))
+        return size
+
+    fold(e, visit, visit)
+    return sorted(range(len(spans)), key=spans.__getitem__)
 
 
-def _replace(e: Expr, path: tuple, repl: Expr) -> Expr:
-    if not path:
-        return repl
-    head, rest = path[0], path[1:]
-    match e:
-        case Abs(param, annot, body):
-            return Abs(param, annot, _replace(body, rest, repl))
-        case App(rator, rand):
-            if head == "rator":
-                return App(_replace(rator, rest, repl), rand)
-            return App(rator, _replace(rand, rest, repl))
-        case If(test, then, els):
-            if head == "test":
-                return If(_replace(test, rest, repl), then, els)
-            if head == "then":
-                return If(test, _replace(then, rest, repl), els)
-            return If(test, then, _replace(els, rest, repl))
-    return repl
+def _replace(e: Expr, pos: int, repl: Expr) -> Expr:
+    """`e` with its node at post-order index `pos` replaced by `repl`."""
+    index = itertools.count()
+
+    def visit(x, kids=()):
+        return repl if next(index) == pos else _rebuild(x, kids)
+
+    return fold(e, visit, visit)
 
 
 def shrink_failure(e: Expr, delta: frozenset, still_fails, budget: int = 200) -> Expr:
@@ -495,13 +489,12 @@ def shrink_failure(e: Expr, delta: frozenset, still_fails, budget: int = 200) ->
     chain, so unbounded shrinking can dominate a fuzz run)."""
     candidates = (Num(0), Bool(True), Bool(False))
     changed = True
-    while changed and budget > 0:
+    # A literal has nothing left to shrink.
+    while changed and budget > 0 and not isinstance(e, (Num, Bool)):
         changed = False
-        for path in _positions(e):
-            if not path and isinstance(e, (Num, Bool)):
-                continue
+        for pos in _positions(e):
             for lit in candidates:
-                cand = _replace(e, path, lit)
+                cand = _replace(e, pos, lit)
                 if cand == e:
                     continue
                 try:

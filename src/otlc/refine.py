@@ -12,23 +12,18 @@ from .checker import Judgment, Mode, TypeCheckError, TypeEnv, is_subpred, typech
 from .subtyping import CONSTANT_TYPES, UndeclaredRefinement, refinement_base, subtype
 from .syntax import (
     Abs,
-    App,
     Arrow,
     Const,
     Constant,
     Expr,
-    If,
     Pred,
     Refine,
     Type,
     TypeOfPred,
     UnionT,
+    _rebuild,
+    fold,
 )
-
-
-def declare_refinement(delta: frozenset[Constant] | set[Constant], c: Constant) -> frozenset[Constant]:
-    """Admit `c` as a refinement predicate; idempotent."""
-    return frozenset(delta) | {c}
 
 
 def erase_type(t: Type) -> Type:
@@ -58,16 +53,17 @@ CHAIN_CONSTANT_TYPES: dict[Constant, Arrow] = {
     for c, t in ERASED_CONSTANT_TYPES.items()}
 
 
+def _erase_node(e: Expr, kids: list) -> Expr:
+    e = _rebuild(e, kids)
+    if e.__class__ is Abs and (annot := erase_type(e.annot)) is not e.annot:
+        return Abs(e.param, annot, e.body)
+    return e
+
+
 def erase_expr(e: Expr) -> Expr:
-    match e:
-        case Abs(param, annot, body):
-            return Abs(param, erase_type(annot), erase_expr(body))
-        case App(rator, rand):
-            return App(erase_expr(rator), erase_expr(rand))
-        case If(test, then, els):
-            return If(erase_expr(test), erase_expr(then), erase_expr(els))
-        case _:
-            return e
+    """`e` with refinements erased from its annotations; a subterm with
+    nothing to erase is shared, not rebuilt."""
+    return fold(e, lambda x: x, _erase_node)
 
 
 def erase_pred(p: Pred) -> Pred:
@@ -83,17 +79,10 @@ def erase_env(g: TypeEnv) -> TypeEnv:
 def uses_refinements(e: Expr) -> bool:
     """True when any annotation in `e` mentions a refinement type or `e`
     mentions a refining constant."""
-    match e:
-        case Abs(_, annot, body):
-            return erase_type(annot) != annot or uses_refinements(body)
-        case App(rator, rand):
-            return uses_refinements(rator) or uses_refinements(rand)
-        case If(test, then, els):
-            return any(uses_refinements(x) for x in (test, then, els))
-        case Const(c):
-            return c in (Constant.EVEN_P, Constant.ODD_P)
-        case _:
-            return False
+    return fold(
+        e,
+        lambda x: x.__class__ is Const and x.c in (Constant.EVEN_P, Constant.ODD_P),
+        lambda x, kids: any(kids) or (x.__class__ is Abs and erase_type(x.annot) is not x.annot))
 
 
 def erased_judgment(g: TypeEnv, e: Expr) -> Judgment:

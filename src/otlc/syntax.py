@@ -210,6 +210,48 @@ def is_value(e: Expr) -> bool:
     return isinstance(e, (Num, Bool, Const, Abs))
 
 
+def _rebuild(e: Expr, kids) -> Expr:
+    """`e` with its subterms replaced by `kids`, left to right; `e` itself
+    when each of `kids` is the subterm it replaces."""
+    cls = e.__class__
+    if cls is App:
+        if kids[0] is not e.rator or kids[1] is not e.rand:
+            return App(*kids)
+    elif cls is If:
+        if kids[0] is not e.test or kids[1] is not e.then or kids[2] is not e.els:
+            return If(*kids)
+    elif cls is Abs and kids[0] is not e.body:
+        return Abs(e.param, e.annot, kids[0])
+    return e
+
+
+def fold(e: Expr, leaf, node):
+    """Fold `e` bottom-up over an explicit stack, so input of any depth
+    folds.  `leaf(x)` gives the result of each Var, Num, Bool and Const (and
+    of anything that is not a term), and `node(x, results)` that of each
+    Abs, App and If from the list of its subterms' results, left to right.
+    The callbacks are called in post-order."""
+    todo: list = [e]  # terms to fold, and (node, number of subterms) to combine
+    done: list = []   # results, innermost last
+    while todo:
+        x = todo.pop()
+        cls = x.__class__
+        if cls is App:
+            todo += ((x, 2), x.rand, x.rator)
+        elif cls is If:
+            todo += ((x, 3), x.els, x.then, x.test)
+        elif cls is Abs:
+            todo += ((x, 1), x.body)
+        elif cls is tuple:
+            x, n = x
+            results = done[-n:]
+            del done[-n:]
+            done.append(node(x, results))
+        else:
+            done.append(leaf(x))
+    return done[0]
+
+
 def free_vars(e: Expr) -> frozenset[str]:
     if isinstance(e, Var):
         return frozenset((e.name,))
@@ -244,7 +286,7 @@ def substitute(body: Expr, env: dict[str, Expr]) -> Expr:
         if free_vars(v):
             raise ValueError(f"substitute: replacement term is not closed: {print_expr(v)}")
     shadowed: dict[str, int] = {}  # name -> number of enclosing binders of it
-    todo: list = [body]  # terms to walk, and (node,) to rebuild node
+    todo: list = [body]  # terms to walk, and (node, number of subterms) to rebuild
     done: list[Expr] = []  # the results, innermost last
     while todo:
         node = todo.pop()
@@ -253,34 +295,23 @@ def substitute(body: Expr, env: dict[str, Expr]) -> Expr:
             name = node.name
             done.append(env[name] if name in env and not shadowed.get(name) else node)
         elif cls is App:
-            todo += ((node,), node.rand, node.rator)
+            todo += ((node, 2), node.rand, node.rator)
         elif cls is If:
-            todo += ((node,), node.els, node.then, node.test)
+            todo += ((node, 3), node.els, node.then, node.test)
         elif cls is Abs:
             if node.param in env:
                 if len(env) == 1:  # nothing below it is replaced
                     done.append(node)
                     continue
                 shadowed[node.param] = shadowed.get(node.param, 0) + 1
-            todo += ((node,), node.body)
+            todo += ((node, 1), node.body)
         elif cls is tuple:
-            (node,) = node
-            cls = node.__class__
-            if cls is App:
-                rand, rator = done.pop(), done.pop()
-                if rator is not node.rator or rand is not node.rand:
-                    node = App(rator, rand)
-            elif cls is If:
-                els, then, test = done.pop(), done.pop(), done.pop()
-                if test is not node.test or then is not node.then or els is not node.els:
-                    node = If(test, then, els)
-            else:
-                b = done.pop()
-                if node.param in env:
-                    shadowed[node.param] -= 1
-                if b is not node.body:
-                    node = Abs(node.param, node.annot, b)
-            done.append(node)
+            node, n = node
+            if node.__class__ is Abs and node.param in env:
+                shadowed[node.param] -= 1
+            kids = done[-n:]
+            del done[-n:]
+            done.append(_rebuild(node, kids))
         else:
             done.append(node)
     return done[0]
@@ -335,6 +366,20 @@ def _is_integer(atom: str) -> bool:
     return bool(digits) and set(digits) <= _INT_CHARS
 
 
+def _is_ident(atom: str) -> bool:
+    return (atom not in ("", "(", ")", ":") and atom not in RESERVED_WORDS
+            and atom not in CONSTANT_BY_NAME and not atom.startswith("#")
+            and not _is_integer(atom))
+
+
+# The types and predicates spelled by one word, and back.
+_TYPE_ATOMS = {"Top": TOP, "Number": NUM, "True": TRUE_T, "False": FALSE_T,
+               "Boolean": BOOLEAN, "Bot": BOT}
+_TYPE_NAMES = {t: name for name, t in _TYPE_ATOMS.items()}
+_PRED_ATOMS = {"tt": TT, "ff": FF, "none": NONE_PRED}
+_PRED_NAMES = {p: name for name, p in _PRED_ATOMS.items()}
+
+
 class _Reader:
     def __init__(self, text: str):
         self.text = text
@@ -369,41 +414,46 @@ class _Reader:
     # -- expressions
 
     def read_expr(self) -> Expr:
-        tok = self.next()
-        if tok == "(":
-            head = self.peek()
-            if head == "lambda":
-                self.next()
-                self.expect("(")
-                param = self.read_ident()
-                self.expect(":")
-                annot = self.read_type()
+        # Each open form is [class, fields read so far]; a form is complete,
+        # and its ")" expected, at two fields for App and three otherwise.
+        forms: list[list] = []
+        while True:
+            tok = self.next()
+            if tok == "(":
+                head = self.peek()
+                if head == "lambda":
+                    self.next()
+                    self.expect("(")
+                    param = self.read_ident()
+                    self.expect(":")
+                    annot = self.read_type()
+                    self.expect(")")
+                    forms.append([Abs, param, annot])
+                elif head == "if":
+                    self.next()
+                    forms.append([If])
+                else:
+                    forms.append([App])
+                continue
+            e = self.read_atom_expr(tok)
+            while forms:
+                form = forms[-1]
+                form.append(e)
+                if len(form) < (3 if form[0] is App else 4):
+                    break
                 self.expect(")")
-                body = self.read_expr()
-                self.expect(")")
-                return Abs(param, annot, body)
-            if head == "if":
-                self.next()
-                test = self.read_expr()
-                then = self.read_expr()
-                els = self.read_expr()
-                self.expect(")")
-                return If(test, then, els)
-            rator = self.read_expr()
-            rand = self.read_expr()
-            self.expect(")")
-            return App(rator, rand)
-        return self.read_atom_expr(tok)
+                forms.pop()
+                e = form[0](*form[1:])
+            else:
+                return e
 
     def read_atom_expr(self, atom: str) -> Expr:
         if not atom or atom in "():":
             self.fail("expected an expression", last=True)
         if _is_integer(atom):
             return Num(int(atom))
-        if atom == "#t":
-            return Bool(True)
-        if atom == "#f":
-            return Bool(False)
+        if atom in ("#t", "#f"):
+            return Bool(atom == "#t")
         if atom in CONSTANT_BY_NAME:
             return Const(CONSTANT_BY_NAME[atom])
         if atom.startswith("#"):
@@ -414,9 +464,7 @@ class _Reader:
 
     def read_ident(self) -> str:
         atom = self.next()
-        if not atom or atom in "():":
-            self.fail("expected an identifier", last=True)
-        if atom in RESERVED_WORDS or atom in CONSTANT_BY_NAME or atom.startswith("#") or _is_integer(atom):
+        if not _is_ident(atom):
             self.fail("expected an identifier", last=True)
         return atom
 
@@ -448,42 +496,21 @@ class _Reader:
                 self.expect(")")
                 return Refine(c)
             self.fail("expected U, -> or Refinement", last=True)
-        if tok == "Top":
-            return TOP
-        if tok == "Number":
-            return NUM
-        if tok == "True":
-            return TRUE_T
-        if tok == "False":
-            return FALSE_T
-        if tok == "Boolean":
-            return BOOLEAN
-        if tok == "Bot":
-            return BOT
-        self.fail("expected a type", last=True)
+        t = _TYPE_ATOMS.get(tok)
+        if t is None:
+            self.fail("expected a type", last=True)
+        return t
 
     # -- predicates
 
     def read_pred(self) -> Pred:
         tok = self.peek()
-        if tok == "tt":
+        if tok in _PRED_ATOMS:
             self.next()
-            return TT
-        if tok == "ff":
-            self.next()
-            return FF
-        if tok == "none":
-            self.next()
-            return NONE_PRED
+            return _PRED_ATOMS[tok]
         # A lone identifier is a variable predicate; otherwise a type
         # followed by "@ x".
-        if (tok not in ("(", ")", ":", "")
-                and self.toks[self.pos + 1] == ""
-                and tok not in RESERVED_WORDS
-                and tok not in CONSTANT_BY_NAME
-                and not tok.startswith("#")
-                and not _is_integer(tok)
-                and tok != "@"):
+        if _is_ident(tok) and tok != "@" and self.toks[self.pos + 1] == "":
             self.next()
             return VarPred(tok)
         t = self.read_type()
@@ -491,25 +518,23 @@ class _Reader:
         return TypeOfPred(t, self.read_ident())
 
 
-def parse_expr(text: str) -> Expr:
+def _read_all(text: str, read):
     r = _Reader(text)
-    e = r.read_expr()
+    out = read(r)
     r.expect_end()
-    return e
+    return out
+
+
+def parse_expr(text: str) -> Expr:
+    return _read_all(text, _Reader.read_expr)
 
 
 def parse_type(text: str) -> Type:
-    r = _Reader(text)
-    t = r.read_type()
-    r.expect_end()
-    return t
+    return _read_all(text, _Reader.read_type)
 
 
 def parse_pred(text: str) -> Pred:
-    r = _Reader(text)
-    p = r.read_pred()
-    r.expect_end()
-    return p
+    return _read_all(text, _Reader.read_pred)
 
 
 def parse_program(text: str) -> tuple[tuple[Constant, ...], Expr]:
@@ -535,20 +560,10 @@ def parse_program(text: str) -> tuple[tuple[Constant, ...], Expr]:
 
 
 def print_type(t: Type) -> str:
+    if t in _TYPE_NAMES:
+        return _TYPE_NAMES[t]
     match t:
-        case TopT():
-            return "Top"
-        case NumT():
-            return "Number"
-        case TrueT():
-            return "True"
-        case FalseT():
-            return "False"
         case UnionT(members):
-            if members == ():
-                return "Bot"
-            if members == (TRUE_T, FALSE_T):
-                return "Boolean"
             parts = []
             i = 0
             while i < len(members):
@@ -574,29 +589,41 @@ def print_pred(p: Pred) -> str:
             return f"{print_type(t)} @ {x}"
         case VarPred(x):
             return x
-        case TruePred():
-            return "tt"
-        case FalsePred():
-            return "ff"
-        case NonePred():
-            return "none"
+        case TruePred() | FalsePred() | NonePred():
+            return _PRED_NAMES[p]
     raise TypeError(f"not a predicate: {p!r}")
 
 
-def print_expr(e: Expr) -> str:
-    match e:
-        case Var(name):
-            return name
-        case Num(value):
-            return str(value)
-        case Bool(value):
-            return "#t" if value else "#f"
-        case Const(c):
-            return c.value
-        case Abs(param, annot, body):
-            return f"(lambda ({param} : {print_type(annot)}) {print_expr(body)})"
-        case App(rator, rand):
-            return f"({print_expr(rator)} {print_expr(rand)})"
-        case If(test, then, els):
-            return f"(if {print_expr(test)} {print_expr(then)} {print_expr(els)})"
+def _pieces(e: Expr, kids=()) -> str | tuple:
+    """The text of a leaf, or a node's pieces around its subterms', last
+    first."""
+    cls = e.__class__
+    if cls is App:
+        return ")", kids[1], " ", kids[0], "("
+    if cls is Var:
+        return e.name
+    if cls is Num:
+        return str(e.value)
+    if cls is If:
+        return ")", kids[2], " ", kids[1], " ", kids[0], "(if "
+    if cls is Const:
+        return e.c.value
+    if cls is Abs:
+        return ")", kids[0], f"(lambda ({e.param} : {print_type(e.annot)}) "
+    if cls is Bool:
+        return "#t" if e.value else "#f"
     raise TypeError(f"not an expression: {e!r}")
+
+
+def print_expr(e: Expr) -> str:
+    # No string is copied per level: the fold nests the pieces, and a stack
+    # pops them in order to be joined once.
+    pieces: list[str] = []
+    todo = [fold(e, _pieces, _pieces)]
+    while todo:
+        x = todo.pop()
+        if x.__class__ is str:
+            pieces.append(x)
+        else:
+            todo += x
+    return "".join(pieces)

@@ -256,8 +256,32 @@ def _tower(depth):
 
 @pytest.mark.parametrize("command", ["check", "eval", "trace"])
 @pytest.mark.parametrize("depth", [10**3, 10**5])
-def test_deep_input_is_a_clean_usage_error(program, capsys, command, depth):
+def test_deep_term_runs(program, capsys, command, depth):
+    # The reader, the checker, the machine and the printer take terms of
+    # any depth.
     path = program(_tower(depth))
+    out = {"check": EXIT_OK, "eval": EXIT_OK, "trace": EXIT_FAILURE}
+    flags = {"check": [], "eval": ["--fuel", str(depth)], "trace": ["--fuel", "2"]}
+    assert main([command, path, *flags[command]]) == out[command]
+    got = capsys.readouterr()
+    if command == "check":
+        assert got.out == "Number ; none\n"
+    elif command == "eval":
+        assert got.out == f"{depth + 1}\n"
+    else:
+        lines = got.out.splitlines()
+        assert [line[:3] for line in lines] == ["0: ", "1: ", "2: "]
+        assert lines[0] == f"0: {_tower(depth)}"
+        assert lines[2] == "2: " + "(add1 " * (depth - 2) + "3" + ")" * (depth - 2)
+        assert got.err == "fuel exhausted\n"
+
+
+@pytest.mark.parametrize("command", ["check", "eval", "trace"])
+@pytest.mark.parametrize("depth", [10**3, 10**5])
+def test_deep_input_is_a_clean_usage_error(program, capsys, command, depth):
+    # Types are still read by recursion: an annotation nested `depth` deep
+    # is too deep for it.
+    path = program("(lambda (x : " + "(-> " * depth + "Number" + " Number)" * depth + ") x)")
     assert main([command, path]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == f"{path}: input nested too deeply\n"

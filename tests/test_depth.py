@@ -1,0 +1,105 @@
+"""Terms of any depth: the reader, the checker, the printer, erasure, the
+machine, subject reduction and the shrinker's positions do not recurse on
+the nesting depth of a term.  Deep terms are compared by printed text or by
+loops, since `==` on terms still recurses."""
+
+import pytest
+
+from otlc.checker import Mode, TypeCheckError, typecheck
+from otlc.harness import _positions, check_subject_reduction
+from otlc.refine import erase_expr, uses_refinements
+from otlc.semantics import trace
+from otlc.syntax import NUM, Arrow, parse_expr, print_expr, print_pred, print_type
+
+EMPTY = frozenset()
+
+
+def add1_tower(depth, base="1"):
+    return "(add1 " * depth + base + ")" * depth
+
+
+@pytest.fixture(scope="module")
+def tower():
+    depth = 10**5
+    text = add1_tower(depth)
+    return depth, text, parse_expr(text)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_deep_tower_typechecks(tower, mode):
+    depth, _, e = tower
+    coverage = {}
+    j = typecheck(EMPTY, {}, e, mode, coverage=coverage)
+    assert (print_type(j.type), print_pred(j.pred)) == ("Number", "none")
+    assert coverage == {"T-Const": depth, "T-App": depth, "T-Num": 1}
+
+
+def test_deep_tower_prints_back_its_text(tower):
+    _, text, e = tower
+    assert print_expr(e) == text
+
+
+def test_deep_tower_erases(tower):
+    _, _, e = tower
+    # Nothing to erase, so nothing is rebuilt.
+    assert erase_expr(e) is e
+    assert uses_refinements(e) is False
+
+
+def test_deep_tower_traces(tower):
+    depth, _, e = tower
+    ts = trace(e, 2)
+    assert [print_expr(t) for t in ts[1:]] == [
+        add1_tower(depth - 1, "2"), add1_tower(depth - 2, "3")]
+
+
+def test_deep_tower_subject_reduction(tower):
+    # Every step is judged; the only verdict is that two steps of fuel do
+    # not reach the value.
+    _, _, e = tower
+    fails = check_subject_reduction(e, 2, EMPTY)
+    assert [(f.kind, f.step, f.detail) for f in fails] == [
+        ("fuel-exhausted", 2, "no value after 2 steps")]
+
+
+def test_deep_tower_positions(tower):
+    depth, _, e = tower
+    assert len(_positions(e)) == 2 * depth + 1
+
+
+def test_deep_if_tower_narrows_at_every_level():
+    depth = 10**4
+    text = ("(lambda (x : Top) " + "(if (number? x) " * depth + "(add1 x)"
+            + " 0)" * depth + ")")
+    e = parse_expr(text)
+    for mode in Mode:
+        j = typecheck(EMPTY, {}, e, mode)
+        assert (print_type(j.type), print_pred(j.pred)) == ("(-> Top Number)", "tt")
+    assert print_expr(e) == text
+
+
+def lambda_tower(depth, body):
+    return ("".join(f"(lambda (x{i} : Number) " for i in range(depth)) + body
+            + ")" * depth)
+
+
+def test_deep_lambda_tower_judgment():
+    # The type is an arrow nested as deep as the term, which `print_type`,
+    # still recursive, cannot print; a loop reads it.
+    depth = 10**4
+    j = typecheck(EMPTY, {}, parse_expr(lambda_tower(depth, "x0")))
+    assert print_pred(j.pred) == "tt"
+    t = j.type
+    for _ in range(depth):
+        assert isinstance(t, Arrow) and t.arg is NUM and t.latent is None
+        t = t.res
+    assert t is NUM
+
+
+def test_deep_lambda_tower_error_trail():
+    depth = 10**4
+    with pytest.raises(TypeCheckError) as info:
+        typecheck(EMPTY, {}, parse_expr(lambda_tower(depth, "(add1 #t)")))
+    err = info.value
+    assert print_expr(err.expr) == "(add1 #t)"
+    assert err.trail == ["T-App"] + ["T-Abs"] * depth

@@ -1,6 +1,7 @@
 """Module layering: every import sits at module level, each module of the
-package imports only from the layers below it, and no module normalizes
-types, which are built in normal form."""
+package imports only from the layers below it, no module normalizes
+types, which are built in normal form, and no function but a type walker
+calls itself."""
 
 import ast
 from pathlib import Path
@@ -61,3 +62,46 @@ def test_no_module_normalizes_types(module):
              if isinstance(node, ast.Call)
              and "normalize" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert calls == [], f"{module}.py calls normalize on lines {calls}"
+
+
+# Walkers over types, whose depth is the nesting of an annotation, and the
+# generator's `literal`, whose depth the goal type bounds.  Terms of any
+# depth are walked with explicit stacks.
+RECURSIVE_BY_DESIGN = {
+    "print_type", "read_type", "erase_type",
+    "restrict", "remove",
+    "_declared", "_sub", "_is_base",
+    "literal",
+}
+
+
+def _self_calls(tree):
+    """Names of the functions in `tree` that call themselves by name,
+    directly or as a method; `super()` calls aside."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Call) \
+                    and getattr(f.value.func, "id", None) == "super":
+                continue
+            if fn.name in (getattr(f, "id", None), getattr(f, "attr", None)):
+                found.add(fn.name)
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_term_walker_recurses(module):
+    recursive = _self_calls(_tree(module)) - RECURSIVE_BY_DESIGN
+    assert recursive == set(), \
+        f"{module}.py has functions that call themselves: {sorted(recursive)}"
+
+
+def test_recursive_by_design_are_recursive():
+    # A walker that stops recursing leaves the list.
+    recursive = set().union(*(_self_calls(_tree(m)) for m in MODULES))
+    assert RECURSIVE_BY_DESIGN <= recursive

@@ -1,4 +1,4 @@
-"""Refinement declarations and the erasure homomorphisms."""
+"""The erasure homomorphisms and the erased judgments."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from otlc.checker import Mode, typecheck
 from otlc.refine import (
     CHAIN_CONSTANT_TYPES,
     ERASED_CONSTANT_TYPES,
-    declare_refinement,
     erase_env,
     erase_expr,
     erase_pred,
@@ -32,23 +31,6 @@ from otlc.syntax import (
 )
 
 EVEN = frozenset({Constant.EVEN_P})
-BOTH = frozenset({Constant.EVEN_P, Constant.ODD_P})
-
-
-# ---------------------------------------------------------------------------
-# declare_refinement
-
-
-def test_declare_refinement():
-    assert declare_refinement(frozenset(), Constant.EVEN_P) == EVEN
-
-
-def test_declare_refinement_idempotent():
-    assert declare_refinement(EVEN, Constant.EVEN_P) == EVEN
-
-
-def test_declare_refinement_union():
-    assert declare_refinement(EVEN, Constant.ODD_P) == BOTH
 
 
 # ---------------------------------------------------------------------------

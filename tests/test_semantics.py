@@ -308,7 +308,7 @@ def add1_tower(e, depth):
 
 def unwind_add1_tower(e):
     """The depth of an `add1` tower and the term at its base, found by a
-    loop: `==` and `print_expr` recurse on the depth."""
+    loop: `==` on terms recurses on the depth."""
     depth = 0
     while isinstance(e, App) and e.rator == Const(Constant.ADD1):
         depth, e = depth + 1, e.rand
@@ -326,7 +326,6 @@ def let_chain(n, body=None):
 
 
 def test_evaluate_deep_add1_tower():
-    # Built as an AST: the reader still recurses on nesting depth.
     n, depth = 7, 10**5
     assert evaluate(add1_tower(Num(n), depth), depth) == Value(Num(n + depth))
 
