@@ -23,7 +23,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from otlc.harness import MAX_FUZZ_DEPTH, gen_typed_term  # noqa: E402
 from otlc.semantics import trace  # noqa: E402
-from otlc.syntax import Abs, App, Constant, If  # noqa: E402
+from otlc.subtyping import REFINING  # noqa: E402
+from otlc.syntax import Abs, App, If  # noqa: E402
 
 
 def nodes(e) -> int:
@@ -43,13 +44,12 @@ def nodes(e) -> int:
 
 def stats(count: int, seeds: list[int], depth: int, fuel: int,
           refinements: bool) -> dict:
-    delta = (frozenset({Constant.EVEN_P, Constant.ODD_P})
-             if refinements else frozenset())
+    delta = frozenset(REFINING if refinements else ())
     sizes, steps, coverage = [], [], {}
     for seed in seeds:
         for i in range(count):
             e = gen_typed_term(random.Random(f"dist:{seed}:{i}"), depth,
-                               delta, refinements, coverage=coverage)
+                               delta, coverage=coverage)
             sizes.append(nodes(e))
             steps.append(len(trace(e, fuel)) - 1)
     terms = len(sizes)

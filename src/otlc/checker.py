@@ -79,7 +79,7 @@ def restrict(delta: frozenset, s: Type, t: Type) -> Type:
     if subtype(delta, s, t):
         return s
     if isinstance(s, UnionT):
-        return UnionT(tuple(restrict(delta, m, t) for m in s.members))
+        return UnionT(tuple(m if subtype(delta, m, t) else t for m in s.members))
     return t
 
 
@@ -88,7 +88,7 @@ def remove(delta: frozenset, s: Type, t: Type) -> Type:
     if subtype(delta, s, t):
         return BOT
     if isinstance(s, UnionT):
-        return UnionT(tuple(remove(delta, m, t) for m in s.members))
+        return UnionT(tuple(BOT if subtype(delta, m, t) else m for m in s.members))
     return s
 
 

@@ -18,10 +18,9 @@ from .checker import Mode, TypeCheckError, typecheck
 from .harness import FuzzConfig, run_fuzz
 from .refine import uses_refinements
 from .semantics import FuelExhausted, StuckAt, Value, evaluate, trace
-from .subtyping import UndeclaredRefinement
+from .subtyping import REFINING, UndeclaredRefinement
 from .syntax import (
     CONSTANT_BY_NAME,
-    Constant,
     ParseError,
     free_vars,
     parse_program,
@@ -58,7 +57,7 @@ def _load_program(path: str, delta_flag: str | None):
                 raise _CliError(f"unknown constant in --delta: {name.strip()}", EXIT_USAGE)
             delta.add(c)
     if not delta and uses_refinements(expr):
-        delta = {Constant.EVEN_P, Constant.ODD_P}
+        delta = set(REFINING)
     return frozenset(delta), expr
 
 

@@ -3,7 +3,8 @@
 Generates well-typed closed terms, reduces them, and checks per step that
 typing is preserved (type shrinks, predicate is a sub-predicate), that
 non-values always step, that terminating runs of base-typed terms end in
-a suitably typed value, and, when refinements are enabled, that erasure
+a suitably typed value, and, in refinement mode (a non-empty Δ of declared
+refinement predicates, which the generator draws from), that erasure
 commutes with reduction and preserves typability.
 
 Subject-reduction judgments are taken on the run of the refinement-erased
@@ -39,7 +40,7 @@ from .refine import (
     erased_judgment_holds,
 )
 from .semantics import FuelExhausted, StuckAt, evaluate, trace
-from .subtyping import CONSTANT_TYPES, UndeclaredRefinement, subtype
+from .subtyping import CONSTANT_TYPES, REFINING, UndeclaredRefinement, subtype
 from .syntax import (
     BOOLEAN,
     FALSE_T,
@@ -153,14 +154,14 @@ class _GenFail(Exception):
 
 
 class _Gen:
-    def __init__(self, rng: random.Random, delta: frozenset, with_refinements: bool):
+    def __init__(self, rng: random.Random, delta: frozenset):
         self.rng = rng
         self.delta = delta
-        self.with_refinements = with_refinements
+        self.parity_tests = tuple(c for c in REFINING if c in delta)
         self.counter = 0
         self.goals = [NUM, BOOLEAN, TOP, NUM_OR_BOOL]
         self.annots = [TOP, NUM, BOOLEAN, NUM_OR_BOOL, Arrow(NUM, NUM), Arrow(TOP, BOOLEAN)]
-        if with_refinements:
+        if Constant.EVEN_P in delta:
             self.annots.append(Arrow(REFINE_EVEN, NUM))
 
     def fresh(self) -> str:
@@ -201,6 +202,22 @@ class _Gen:
         return self.literal(env, goal)
 
     def literal(self, env: dict, g) -> Expr:
+        # A normal union has no union members: each narrowing is needed once at most.
+        if isinstance(g, UnionT):
+            if g == BOOLEAN:
+                return Bool(self.rng.random() < 0.5)
+            if not g.members:
+                raise _GenFail
+            g = self.rng.choice(g.members)
+        if g == TOP:
+            pick = self.rng.random()
+            if pick < 0.35:
+                return Num(self.rng.randint(-10, 99))
+            if pick < 0.6:
+                return Bool(self.rng.random() < 0.5)
+            if pick < 0.8:
+                return Const(self.rng.choice([c for c in Constant if c not in REFINING]))
+            g = Arrow(NUM, NUM)
         match g:
             case NumT():
                 return Num(self.rng.randint(-10, 99))
@@ -208,32 +225,17 @@ class _Gen:
                 return Bool(True)
             case FalseT():
                 return Bool(False)
-            case UnionT(members):
-                if g == BOOLEAN:
-                    return Bool(self.rng.random() < 0.5)
-                if not members:
-                    raise _GenFail
-                return self.literal(env, self.rng.choice(members))
             case Arrow(arg, res, _):
                 for c in Constant:
                     if self.fits(CONSTANT_TYPES[c], g) and self.rng.random() < 0.4:
                         return Const(c)
                 x = self.fresh()
                 return Abs(x, arg, self.expr({**env, x: arg}, res, 1))
-            case Refine(_):
+            case _:  # Refine
                 usable = [x for x, t in env.items() if self.fits(t, g)]
                 if not usable:
                     raise _GenFail
                 return Var(self.rng.choice(usable))
-            case _:  # Top
-                pick = self.rng.random()
-                if pick < 0.35:
-                    return Num(self.rng.randint(-10, 99))
-                if pick < 0.6:
-                    return Bool(self.rng.random() < 0.5)
-                if pick < 0.8:
-                    return Const(self.rng.choice(list(Constant)[:5]))
-                return self.literal(env, Arrow(NUM, NUM))
 
     def vet(self, env: dict, e: Expr) -> tuple[Judgment, Judgment]:
         """Primary judgment of `e` plus its judgment in the system used to
@@ -284,10 +286,10 @@ class _Gen:
             x = self.rng.choice(narrowable)
             c = self.rng.choice((Constant.NUMBER_P, Constant.BOOLEAN_P))
             return App(Const(c), Var(x))
-        if self.with_refinements:
+        if self.parity_tests:
             nums = [x for x, t in env.items() if self.fits(t, NUM)]
             if nums and self.rng.random() < 0.5:
-                c = self.rng.choice((Constant.EVEN_P, Constant.ODD_P))
+                c = self.rng.choice(self.parity_tests)
                 return App(Const(c), Var(self.rng.choice(nums)))
         return self.expr(env, BOOLEAN, depth - 1)
 
@@ -302,7 +304,7 @@ class _Gen:
         if arrows:
             options.append("call")
         options.append("beta")
-        if self.with_refinements and self.fits(NUM, goal):
+        if Constant.EVEN_P in self.delta and self.fits(NUM, goal):
             options.append("even-guard")
         match self.rng.choice(options):
             case "add1":
@@ -365,8 +367,7 @@ class _Gen:
         raise _GenFail
 
 
-def gen_typed_term(rng: random.Random, max_depth: int, delta: frozenset,
-                   with_refinements: bool = False,
+def gen_typed_term(rng: random.Random, max_depth: int, delta: frozenset, *,
                    coverage: dict[str, int] | None = None) -> Expr:
     """A closed term that typechecks with the primary rules under `delta`.
     The generator builds terms by the typing rules, so each is well typed
@@ -377,7 +378,7 @@ def gen_typed_term(rng: random.Random, max_depth: int, delta: frozenset,
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     delta = frozenset(delta)
-    gen = _Gen(rng, delta, with_refinements)
+    gen = _Gen(rng, delta)
     e = gen.expr({}, rng.choice(gen.goals), max_depth)
     typecheck(delta, {}, e, Mode.PRIMARY, coverage=coverage)
     return e
@@ -388,17 +389,14 @@ def gen_typed_term(rng: random.Random, max_depth: int, delta: frozenset,
 
 
 def _is_base(t) -> bool:
-    if isinstance(t, (NumT, TrueT, FalseT)):
-        return True
-    if isinstance(t, UnionT):
-        return all(_is_base(m) for m in t.members)
-    return False
+    # A normal union has no union members.
+    return all(isinstance(m, (NumT, TrueT, FalseT))
+               for m in (t.members if isinstance(t, UnionT) else (t,)))
 
 
-def check_subject_reduction(e: Expr, fuel: int, delta: frozenset,
-                            with_refinements: bool = False) -> list[FuzzFailure]:
+def check_subject_reduction(e: Expr, fuel: int, delta: frozenset) -> list[FuzzFailure]:
     """Per-step verdicts for one primary-typed closed term; empty list
-    means every clause held."""
+    means every clause held.  A non-empty `delta` adds the erasure clauses."""
     delta = frozenset(delta)
     failures: list[FuzzFailure] = []
 
@@ -439,7 +437,7 @@ def check_subject_reduction(e: Expr, fuel: int, delta: frozenset,
         if not is_subpred(judgments[-1].pred, judgments[0].pred):
             fail("soundness", len(tr) - 1, "final value predicate exceeds the initial one")
 
-    if with_refinements:
+    if delta:
         if not erased_judgment_holds(delta, {}, e):
             fail("erased-typing", 0, "erased term does not carry the erased judgment")
         # The erased run must be the erased chain, term by term and no longer.
@@ -530,13 +528,11 @@ _KIND_BUCKET = {
 def run_fuzz(config: FuzzConfig) -> FuzzReport:
     """Deterministic for a given config; failures are data, not errors."""
     start = time.monotonic()
-    delta = (frozenset({Constant.EVEN_P, Constant.ODD_P})
-             if config.with_refinements else frozenset())
+    delta = frozenset(REFINING if config.with_refinements else ())
     report = FuzzReport(seed=config.seed)
     for i in range(config.count):
         rng = random.Random(f"{config.seed}:{i}")
-        e = gen_typed_term(rng, config.max_depth, delta, config.with_refinements,
-                           coverage=report.coverage)
+        e = gen_typed_term(rng, config.max_depth, delta, coverage=report.coverage)
         report.generated += 1
 
         if parse_expr(print_expr(e)) != e:
@@ -544,15 +540,13 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
                 FuzzFailure("roundtrip", print_expr(e), 0,
                             "printing then parsing changed the term"))
 
-        fails = check_subject_reduction(e, config.fuel, delta, config.with_refinements)
+        fails = check_subject_reduction(e, config.fuel, delta)
         if fails:
             def still_fails(t):
-                return bool(check_subject_reduction(
-                    t, config.fuel, delta, config.with_refinements))
+                return bool(check_subject_reduction(t, config.fuel, delta))
 
             minimal = shrink_failure(e, delta, still_fails)
-            min_fails = check_subject_reduction(
-                minimal, config.fuel, delta, config.with_refinements) or fails
+            min_fails = check_subject_reduction(minimal, config.fuel, delta) or fails
             for f in min_fails:
                 getattr(report, _KIND_BUCKET[f.kind]).append(f)
     report.elapsed_ms = (time.monotonic() - start) * 1000.0

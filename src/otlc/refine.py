@@ -9,7 +9,7 @@ well-typed at the erased type, and erasure commutes with reduction.
 from __future__ import annotations
 
 from .checker import Judgment, Mode, TypeCheckError, TypeEnv, is_subpred, typecheck
-from .subtyping import CONSTANT_TYPES, UndeclaredRefinement, refinement_base, subtype
+from .subtyping import CONSTANT_TYPES, REFINING, UndeclaredRefinement, refinement_base, subtype
 from .syntax import (
     Abs,
     Arrow,
@@ -49,7 +49,7 @@ ERASED_CONSTANT_TYPES: dict[Constant, Arrow] = {
 # (even? 99) is #f.  The erased judgment keeps those latents, since it
 # checks erasure structurally.
 CHAIN_CONSTANT_TYPES: dict[Constant, Arrow] = {
-    c: Arrow(t.arg, t.res) if c in (Constant.EVEN_P, Constant.ODD_P) else t
+    c: Arrow(t.arg, t.res) if c in REFINING else t
     for c, t in ERASED_CONSTANT_TYPES.items()}
 
 
@@ -81,7 +81,7 @@ def uses_refinements(e: Expr) -> bool:
     mentions a refining constant."""
     return fold(
         e,
-        lambda x: x.__class__ is Const and x.c in (Constant.EVEN_P, Constant.ODD_P),
+        lambda x: x.__class__ is Const and x.c in REFINING,
         lambda x, kids: any(kids) or (x.__class__ is Abs and erase_type(x.annot) is not x.annot))
 
 

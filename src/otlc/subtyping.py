@@ -6,8 +6,8 @@ whose predicate is undeclared raises `UndeclaredRefinement`, whatever its
 answer would be.  Types are hash-consed and built in normal form (see
 `otlc.syntax`), so the caches keyed on them hash and compare in O(1), and
 the relation needs no normalization step.  `CONSTANT_TYPES` is the table the
-checker types constants with by default; `otlc.refine` derives the
-erased tables from it.
+checker types constants with by default; `REFINING` and the erased
+tables of `otlc.refine` are derived from it.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ CONSTANT_TYPES: dict[Constant, Arrow] = {
     Constant.EVEN_P: Arrow(NUM, BOOLEAN, Refine(Constant.EVEN_P)),
     Constant.ODD_P: Arrow(NUM, BOOLEAN, Refine(Constant.ODD_P)),
 }
+
+# The constants whose latent predicate is a refinement, in table order.
+REFINING = tuple(c for c, t in CONSTANT_TYPES.items() if isinstance(t.latent, Refine))
 
 
 def refinement_base(c: Constant) -> Type:

@@ -163,43 +163,77 @@ NONE_PRED = NonePred()
 
 
 class Expr:
+    """A term.  `==` and `hash` are structural and walk an explicit stack,
+    so terms of any depth compare; annotations, being hash-consed types,
+    compare by identity."""
+
     __slots__ = ()
 
+    def __eq__(self, other):
+        if not isinstance(other, Expr):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            cls = a.__class__
+            if cls is not b.__class__:
+                return False
+            if cls is App:
+                todo += ((a.rand, b.rand), (a.rator, b.rator))
+            elif cls is If:
+                todo += ((a.els, b.els), (a.then, b.then), (a.test, b.test))
+            elif cls is Abs:
+                if a.param != b.param or a.annot is not b.annot:
+                    return False
+                todo.append((a.body, b.body))
+            elif a.__dict__ != b.__dict__:
+                return False
+        return True
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        def node(x, kids):
+            own = (x.param, x.annot) if x.__class__ is Abs else ()
+            return hash((x.__class__, *own, *kids))
+
+        return fold(self, lambda x: hash((x.__class__, *x.__dict__.values())), node)
+
+
+@dataclass(frozen=True, eq=False)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Num(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bool(Expr):
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const(Expr):
     c: Constant
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Abs(Expr):
     param: str
     annot: Type
     body: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class App(Expr):
     rator: Expr
     rand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class If(Expr):
     test: Expr
     then: Expr

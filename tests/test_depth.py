@@ -1,7 +1,6 @@
 """Terms of any depth: the reader, the checker, the printer, erasure, the
-machine, subject reduction and the shrinker's positions do not recurse on
-the nesting depth of a term.  Deep terms are compared by printed text or by
-loops, since `==` on terms still recurses."""
+machine, subject reduction, the shrinker's positions, and `==` and `hash`
+on terms do not recurse on the nesting depth of a term."""
 
 import pytest
 
@@ -9,6 +8,7 @@ from otlc.checker import Mode, TypeCheckError, typecheck
 from otlc.harness import _positions, check_subject_reduction
 from otlc.refine import erase_expr, uses_refinements
 from otlc.semantics import trace
+from otlc.subtyping import REFINING
 from otlc.syntax import NUM, Arrow, parse_expr, print_expr, print_pred, print_type
 
 EMPTY = frozenset()
@@ -60,6 +60,24 @@ def test_deep_tower_subject_reduction(tower):
     fails = check_subject_reduction(e, 2, EMPTY)
     assert [(f.kind, f.step, f.detail) for f in fails] == [
         ("fuel-exhausted", 2, "no value after 2 steps")]
+
+
+def test_deep_tower_subject_reduction_with_refinements(tower):
+    # The erasure clauses too: erasure commutation compares the erased run
+    # with the erased chain by `==`, term by term.
+    _, _, e = tower
+    fails = check_subject_reduction(e, 2, REFINING)
+    assert [(f.kind, f.step, f.detail) for f in fails] == [
+        ("fuel-exhausted", 2, "no value after 2 steps")]
+
+
+def test_deep_towers_compare_and_hash(tower):
+    depth, text, e = tower
+    twin = parse_expr(text)
+    assert twin is not e
+    assert twin == e and hash(twin) == hash(e)
+    other = parse_expr(add1_tower(depth, "2"))
+    assert other != e
 
 
 def test_deep_tower_positions(tower):

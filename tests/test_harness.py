@@ -1,6 +1,7 @@
 """Fuzzing harness: generator soundness, determinism, subject-reduction
 checking, shrinking, and a mutation sanity check."""
 
+import hashlib
 import json
 import random
 
@@ -64,7 +65,7 @@ def test_generated_terms_are_closed_and_primary_typed(refinements):
     delta = BOTH if refinements else EMPTY
     for i in range(150):
         rng = random.Random(f"gen:{i}")
-        e = gen_typed_term(rng, 5, delta, refinements)
+        e = gen_typed_term(rng, 5, delta)
         assert not free_vars(e)
         typecheck(delta, {}, e, Mode.PRIMARY)  # must not raise
 
@@ -77,6 +78,29 @@ def test_generation_deterministic():
     assert a == b
 
 
+# SHA-256 of the printed terms of 300 seeds per mode, one per line.  Any
+# change to the generator's random draws, or to their order, changes it.
+STREAM_SHA256 = {
+    False: "9997e175592bf1f98433e25c72b1fedebe5f13ba7bfde4f4e798b4da2fed5b33",
+    True: "adca3666d469b6b286d8c6f3c7d80e6468ce767b09d8ce02ceb5a839ccbb133b",
+}
+
+
+@pytest.mark.parametrize("refinements", [False, True])
+def test_generator_stream_is_pinned(refinements):
+    delta = BOTH if refinements else EMPTY
+    h = hashlib.sha256()
+    for i in range(300):
+        e = gen_typed_term(random.Random(f"stream:{i}"), 6, delta)
+        h.update(print_expr(e).encode() + b"\n")
+    assert h.hexdigest() == STREAM_SHA256[refinements]
+
+
+def test_coverage_is_keyword_only():
+    with pytest.raises(TypeError):
+        gen_typed_term(random.Random(0), 5, BOTH, True)
+
+
 def test_gen_rejects_bad_depth():
     with pytest.raises(ValueError):
         gen_typed_term(random.Random(0), 0, EMPTY)
@@ -87,9 +111,8 @@ def test_gen_coverage_is_the_returned_terms_judgment(refinements):
     delta = BOTH if refinements else EMPTY
     got, want = {"T-Num": 3}, {"T-Num": 3}
     for i in range(60):
-        e = gen_typed_term(random.Random(f"cov:{i}"), 5, delta, refinements,
-                           coverage=got)
-        assert e == gen_typed_term(random.Random(f"cov:{i}"), 5, delta, refinements)
+        e = gen_typed_term(random.Random(f"cov:{i}"), 5, delta, coverage=got)
+        assert e == gen_typed_term(random.Random(f"cov:{i}"), 5, delta)
         typecheck(delta, {}, e, Mode.PRIMARY, coverage=want)
     assert got == want
 
@@ -123,7 +146,7 @@ def test_generated_terms_are_not_trivial(refinements, min_nodes, min_steps):
     delta = BOTH if refinements else EMPTY
     sizes, steps = [], []
     for i in range(2000):
-        e = gen_typed_term(random.Random(f"dist:{i}"), 6, delta, refinements)
+        e = gen_typed_term(random.Random(f"dist:{i}"), 6, delta)
         sizes.append(_nodes(e))
         steps.append(len(trace(e, 1000)) - 1)
     assert sum(sizes) / len(sizes) >= min_nodes
@@ -150,7 +173,7 @@ def test_subject_reduction_refinements():
     src = ("((lambda (f : (-> (Refinement even?) Number)) "
            "((lambda (n : Number) (if (even? n) (f n) n)) 4)) "
            "(lambda (m : (Refinement even?)) (add1 m)))")
-    assert check_subject_reduction(parse_expr(src), 100, BOTH, True) == []
+    assert check_subject_reduction(parse_expr(src), 100, BOTH) == []
 
 
 def test_subject_reduction_flags_ill_terms():
@@ -191,12 +214,12 @@ def test_subject_reduction_flags_erasure_that_does_not_commute(monkeypatch, src,
         return Num(41) if e == Num(42) else real_erase(e)
 
     monkeypatch.setattr(harness, "erase_expr", bad_erase)
-    fails = check_subject_reduction(parse_expr(src), 10, BOTH, True)
+    fails = check_subject_reduction(parse_expr(src), 10, BOTH)
     assert [(f.kind, f.step) for f in fails] == [("erasure-commutation", at)]
 
 
-@pytest.mark.parametrize("refinements,calls", [(False, 1), (True, 4)])
-def test_subject_reduction_erases_the_term_once(monkeypatch, refinements, calls):
+@pytest.mark.parametrize("delta,calls", [(EMPTY, 1), (BOTH, 4)], ids=["EMPTY-1", "BOTH-4"])
+def test_subject_reduction_erases_the_term_once(monkeypatch, delta, calls):
     # The chain is the run of the erased term; only erasure commutation
     # erases the unerased run, term by term.
     real_erase = harness.erase_expr
@@ -208,7 +231,7 @@ def test_subject_reduction_erases_the_term_once(monkeypatch, refinements, calls)
 
     monkeypatch.setattr(harness, "erase_expr", counting_erase)
     e = parse_expr("(add1 (add1 1))")
-    assert check_subject_reduction(e, 10, BOTH, refinements) == []
+    assert check_subject_reduction(e, 10, delta) == []
     assert len(erased) == calls
 
 

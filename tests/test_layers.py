@@ -1,7 +1,9 @@
 """Module layering: every import sits at module level, each module of the
 package imports only from the layers below it, no module normalizes
-types, which are built in normal form, and no function but a type walker
-calls itself."""
+types, which are built in normal form, no function but a type walker
+calls itself, and refinement mode has one spelling: the refining
+constants are written out only in `subtyping`, and Δ is the harness's
+only refinement switch."""
 
 import ast
 from pathlib import Path
@@ -64,14 +66,12 @@ def test_no_module_normalizes_types(module):
     assert calls == [], f"{module}.py calls normalize on lines {calls}"
 
 
-# Walkers over types, whose depth is the nesting of an annotation, and the
-# generator's `literal`, whose depth the goal type bounds.  Terms of any
-# depth are walked with explicit stacks.
+# Walkers over types, whose depth is the nesting of an annotation.  Terms
+# of any depth are walked with explicit stacks, and a walker over the
+# members of a normal union, which has no union members, needs no recursion.
 RECURSIVE_BY_DESIGN = {
     "print_type", "read_type", "erase_type",
-    "restrict", "remove",
-    "_declared", "_sub", "_is_base",
-    "literal",
+    "_declared", "_sub",
 }
 
 
@@ -105,3 +105,38 @@ def test_recursive_by_design_are_recursive():
     # A walker that stops recursing leaves the list.
     recursive = set().union(*(_self_calls(_tree(m)) for m in MODULES))
     assert RECURSIVE_BY_DESIGN <= recursive
+
+
+def _spells_refining_set(node) -> bool:
+    """A tuple, list or set display holding both parity tests, or a slice of
+    `list(Constant)`."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        named = {e.attr for e in node.elts if isinstance(e, ast.Attribute)
+                 and getattr(e.value, "id", None) == "Constant"}
+        return {"EVEN_P", "ODD_P"} <= named
+    return (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice)
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", None) == "list"
+            and [getattr(a, "id", None) for a in node.value.args] == ["Constant"])
+
+
+SCRIPTS = sorted((PACKAGE.parent.parent / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", [PACKAGE / f"{m}.py" for m in MODULES if m != "subtyping"]
+                         + SCRIPTS, ids=lambda p: p.name)
+def test_only_subtyping_spells_the_refining_set(path):
+    # `subtyping.REFINING` is read off the constant table; everything else
+    # uses it or its complement.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if _spells_refining_set(node)]
+    assert lines == [], f"{path.name} spells the refining set on lines {lines}"
+
+
+def test_harness_has_no_refinement_flag():
+    # Refinement mode is a non-empty Δ; only `FuzzConfig` carries the flag.
+    params = [(fn.name, a.arg) for fn in ast.walk(_tree("harness"))
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+              if a.arg == "with_refinements"]
+    assert params == []

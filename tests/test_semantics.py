@@ -252,7 +252,7 @@ def _machine_terms():
         yield f"gen:{i}", e
     parity = frozenset({Constant.EVEN_P, Constant.ODD_P})
     for i in range(200):
-        e = gen_typed_term(random.Random(f"machine-refine:{i}"), 6, parity, True)
+        e = gen_typed_term(random.Random(f"machine-refine:{i}"), 6, parity)
         yield f"gen-refine:{i}", e
     for src in [
         "(add1 (5 5))",

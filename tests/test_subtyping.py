@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from otlc.subtyping import (
     CONSTANT_TYPES,
+    REFINING,
     UndeclaredRefinement,
     refinement_base,
     subtype,
@@ -53,6 +54,10 @@ EXPECTED_CONSTANT_TYPES = {
                                               key=lambda kv: kv[0].value))
 def test_constant_type_table(c, expected):
     assert CONSTANT_TYPES[c] == parse_type(expected)
+
+
+def test_refining_constants_are_the_parity_tests_in_table_order():
+    assert REFINING == (Constant.EVEN_P, Constant.ODD_P)
 
 
 def test_refinement_base_is_the_constant_domain():
