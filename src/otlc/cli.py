@@ -17,7 +17,7 @@ from pathlib import Path
 from .checker import Mode, TypeCheckError, typecheck
 from .harness import FuzzConfig, run_fuzz
 from .refine import uses_refinements
-from .semantics import FuelExhausted, StuckAt, Value, evaluate, trace
+from .semantics import DEFAULT_FUEL, FuelExhausted, StuckAt, Value, evaluate, trace
 from .subtyping import REFINING, UndeclaredRefinement
 from .syntax import (
     CONSTANT_BY_NAME,
@@ -162,7 +162,7 @@ def make_parser() -> argparse.ArgumentParser:
     for name, func in (("eval", cmd_eval), ("trace", cmd_trace)):
         p = sub.add_parser(name, help=f"{name} a program file")
         p.add_argument("file")
-        p.add_argument("--fuel", type=int, default=10_000)
+        p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
         p.add_argument("--unchecked", action="store_true",
                        help="skip the typecheck before running")
         p.add_argument("--delta", default=None)
@@ -171,8 +171,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser("fuzz", help="randomized soundness testing")
     p_fuzz.add_argument("--count", type=int, default=1000)
     p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--depth", type=int, default=6)
-    p_fuzz.add_argument("--fuel", type=int, default=1000)
+    p_fuzz.add_argument("--depth", type=int, default=FuzzConfig.max_depth)
+    p_fuzz.add_argument("--fuel", type=int, default=FuzzConfig.fuel)
     p_fuzz.add_argument("--refinements", action="store_true")
     p_fuzz.add_argument("--json", default=None, help="write a JSON report here")
     p_fuzz.set_defaults(func=cmd_fuzz)

@@ -1,4 +1,5 @@
-"""Refinement predicate declarations and the erasure homomorphisms.
+"""Refinement erasure: the erasure homomorphisms, the erased and chain
+constant tables, the erased-judgment check, and `uses_refinements`.
 
 Erasure deletes every refinement constructor from types, annotations,
 predicates, and environments.  It reduces soundness of the refined

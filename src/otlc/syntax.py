@@ -165,7 +165,8 @@ NONE_PRED = NonePred()
 class Expr:
     """A term.  `==` and `hash` are structural and walk an explicit stack,
     so terms of any depth compare; annotations, being hash-consed types,
-    compare by identity."""
+    compare by identity.  `repr` is the call that reads the term back, so
+    it takes any depth as `print_expr` does."""
 
     __slots__ = ()
 
@@ -199,41 +200,44 @@ class Expr:
 
         return fold(self, lambda x: hash((x.__class__, *x.__dict__.values())), node)
 
+    def __repr__(self):
+        return f"parse_expr({print_expr(self)!r})"
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Num(Expr):
     value: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Bool(Expr):
     value: bool
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(Expr):
     c: Constant
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Abs(Expr):
     param: str
     annot: Type
     body: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class App(Expr):
     rator: Expr
     rand: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class If(Expr):
     test: Expr
     then: Expr
@@ -362,11 +366,6 @@ class ParseError(Exception):
         self.col = col
 
 
-RESERVED_WORDS = {
-    "lambda", "if", "U", "->", "Refinement", "declare-refinement",
-    "Top", "Number", "True", "False", "Boolean", "Bot",
-}
-
 # A comment (to end of line, group empty) or a token: "(", ")", ":" or an
 # atom.  Whitespace between matches is skipped.
 _TOKEN = re.compile(r";[^\n]*|([():]|[^\s():;]+)")
@@ -412,6 +411,8 @@ _TYPE_ATOMS = {"Top": TOP, "Number": NUM, "True": TRUE_T, "False": FALSE_T,
 _TYPE_NAMES = {t: name for name, t in _TYPE_ATOMS.items()}
 _PRED_ATOMS = {"tt": TT, "ff": FF, "none": NONE_PRED}
 _PRED_NAMES = {p: name for name, p in _PRED_ATOMS.items()}
+
+RESERVED_WORDS = {"lambda", "if", "U", "->", "Refinement", "declare-refinement", *_TYPE_ATOMS}
 
 
 class _Reader:

@@ -1,6 +1,6 @@
 """Terms of any depth: the reader, the checker, the printer, erasure, the
-machine, subject reduction, the shrinker's positions, and `==` and `hash`
-on terms do not recurse on the nesting depth of a term."""
+machine, subject reduction, the shrinker's positions, and `==`, `hash`
+and `repr` on terms do not recurse on the nesting depth of a term."""
 
 import pytest
 
@@ -78,6 +78,18 @@ def test_deep_towers_compare_and_hash(tower):
     assert twin == e and hash(twin) == hash(e)
     other = parse_expr(add1_tower(depth, "2"))
     assert other != e
+
+
+def test_deep_tower_repr_reads_back(tower):
+    # A failing assertion on a deep term shows its repr.
+    _, text, e = tower
+    try:
+        shown = repr(e)
+    except RecursionError:
+        # Not left to pytest: its report of a deep RecursionError compares
+        # the locals of the frames, deep terms, pairwise.
+        shown = "RecursionError"
+    assert shown == f"parse_expr({text!r})"
 
 
 def test_deep_tower_positions(tower):

@@ -27,6 +27,15 @@ def test_every_module_has_a_layer():
     assert set(MODULES) == set(LAYERS)
 
 
+def test_package_binds_only_layer_modules():
+    # Every public name is imported from the module that defines it; the
+    # package itself only imports the layers.
+    public = {name: value for name, value in vars(otlc).items() if not name.startswith("_")}
+    strays = sorted(name for name, value in public.items()
+                    if name not in LAYERS or getattr(value, "__name__", None) != f"otlc.{name}")
+    assert strays == [], f"otlc binds {strays}"
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_imports_are_at_module_level(module):
     tree = _tree(module)
