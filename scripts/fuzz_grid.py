@@ -21,8 +21,8 @@ def main() -> int:
     ap.add_argument("--out", default="reports", help="report directory")
     ap.add_argument("--counts", type=int, nargs="+", default=[1000])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
-    ap.add_argument("--depths", type=int, nargs="+", default=[6])
-    ap.add_argument("--fuel", type=int, default=1000)
+    ap.add_argument("--depths", type=int, nargs="+", default=[FuzzConfig.max_depth])
+    ap.add_argument("--fuel", type=int, default=FuzzConfig.fuel)
     args = ap.parse_args()
     try:
         grid = [FuzzConfig(count=count, seed=seed, max_depth=depth,

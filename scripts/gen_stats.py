@@ -21,25 +21,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from otlc.harness import MAX_FUZZ_DEPTH, gen_typed_term  # noqa: E402
+from otlc.harness import FuzzConfig, gen_typed_term  # noqa: E402
 from otlc.semantics import trace  # noqa: E402
 from otlc.subtyping import REFINING  # noqa: E402
-from otlc.syntax import Abs, App, If  # noqa: E402
+from otlc.syntax import fold  # noqa: E402
 
 
 def nodes(e) -> int:
-    n, stack = 0, [e]
-    while stack:
-        e = stack.pop()
-        n += 1
-        match e:
-            case Abs(_, _, body):
-                stack.append(body)
-            case App(rator, rand):
-                stack += (rator, rand)
-            case If(test, then, els):
-                stack += (test, then, els)
-    return n
+    return fold(e, lambda x: 1, lambda x, kids: 1 + sum(kids))
 
 
 def stats(count: int, seeds: list[int], depth: int, fuel: int,
@@ -70,14 +59,14 @@ def main() -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--count", type=int, default=2000, help="terms per seed")
     ap.add_argument("--seeds", type=int, nargs="+", default=[0])
-    ap.add_argument("--depth", type=int, default=6)
-    ap.add_argument("--fuel", type=int, default=1000)
+    ap.add_argument("--depth", type=int, default=FuzzConfig.max_depth)
+    ap.add_argument("--fuel", type=int, default=FuzzConfig.fuel)
     ap.add_argument("--refinements", action="store_true")
     args = ap.parse_args()
-    if args.count < 1:
-        ap.error("--count must be at least 1")
-    if not 1 <= args.depth <= MAX_FUZZ_DEPTH:
-        ap.error(f"--depth must be between 1 and {MAX_FUZZ_DEPTH}")
+    try:
+        FuzzConfig(count=args.count, seed=0, max_depth=args.depth, fuel=args.fuel)
+    except ValueError as err:
+        ap.error(str(err))
     print(json.dumps(stats(args.count, args.seeds, args.depth, args.fuel,
                            args.refinements), indent=2))
     return 0

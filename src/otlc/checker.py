@@ -179,7 +179,6 @@ def typecheck(
     # premises so far).  A frame is off the stack while its node concludes,
     # so an error's trail names the rules of the frames above that node.
     frames: list[tuple] = []
-    g = dict(g)
     try:
         while True:
             # Descend to the leftmost premise not yet judged.

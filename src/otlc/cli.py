@@ -1,11 +1,15 @@
 """Command line front end: check, eval, trace, and fuzz.
 
+A program's Δ, its refinement predicates, is what its file declares plus
+`--delta`, or every refining constant when that is empty.
+
 Exit codes: 0 success, 1 type or evaluation failure (an open program run
 `--unchecked` among them), 2 usage or parse error: bad flags (a negative
 `--fuel` among them), a file that cannot be read or is not UTF-8, a
-`--json` report that cannot be written, or a type annotation nested a few
-hundred levels deep, too deep for the recursive type reader.  A term of
-any depth is accepted.
+`--json` report that cannot be written, or input too deep for a recursive
+type walker: a type annotation nested about 1,000 levels deep, or a term
+whose type nests that deep passed to a function.  Other terms of any
+depth are accepted.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from pathlib import Path
 
 from .checker import Mode, TypeCheckError, typecheck
 from .harness import FuzzConfig, run_fuzz
-from .refine import uses_refinements
 from .semantics import DEFAULT_FUEL, FuelExhausted, StuckAt, Value, evaluate, trace
 from .subtyping import REFINING, UndeclaredRefinement
 from .syntax import (
@@ -56,9 +59,7 @@ def _load_program(path: str, delta_flag: str | None):
             if c is None:
                 raise _CliError(f"unknown constant in --delta: {name.strip()}", EXIT_USAGE)
             delta.add(c)
-    if not delta and uses_refinements(expr):
-        delta = set(REFINING)
-    return frozenset(delta), expr
+    return frozenset(delta or REFINING), expr
 
 
 def _judge(delta, expr, mode: Mode):
@@ -119,8 +120,7 @@ def cmd_fuzz(args) -> int:
                             max_depth=args.depth, fuel=args.fuel,
                             with_refinements=args.refinements)
     except ValueError as err:
-        print(f"bad flags: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _CliError(f"bad flags: {err}", EXIT_USAGE) from None
     try:
         out = open(args.json, "w", encoding="utf-8") if args.json else None
     except OSError as err:
@@ -186,10 +186,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
-    if getattr(args, "fuel", 0) < 0:
-        print("bad flags: fuel must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        if getattr(args, "fuel", 0) < 0:
+            raise _CliError("bad flags: fuel must be nonnegative", EXIT_USAGE)
         return args.func(args)
     except _CliError as err:
         print(str(err), file=sys.stderr)

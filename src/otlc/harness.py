@@ -78,10 +78,10 @@ _PREDICATE_CONSTANTS = (
     Constant.NOT, Constant.NUMBER_P, Constant.BOOLEAN_P, Constant.PROCEDURE_P,
 )
 
-# How many of each builder a 100-card deck holds.  `_Gen.expr` tries at most
-# _BUILDER_TRIES builders, drawn one at a time without replacement: the law
-# of the first cards of a shuffled deck, without shuffling the whole deck.
-_BUILDERS = {"leaf": 30, "if": 30, "app": 25, "lam": 15}
+# The builder methods of `_Gen`, each with its count in a 100-card deck.
+# `_Gen.expr` tries at most _BUILDER_TRIES of them, drawn one at a time
+# without replacement: the law of the first cards of a shuffled deck.
+_BUILDERS = {"leaf": 30, "cond": 30, "app": 25, "lam": 15}
 _BUILDER_TRIES = 8
 
 # The generator's expected term size grows exponentially with depth:
@@ -182,21 +182,24 @@ class _Gen:
         for _ in range(_BUILDER_TRIES):
             k = self.rng.choices(range(len(left)), left)[0]
             left[k] -= 1
-            name = names[k]
             try:
-                if name == "leaf":
-                    return self.leaf(env, goal)
-                if name == "if":
-                    return self.cond(env, goal, depth)
-                if name == "app":
-                    return self.app(env, goal, depth)
-                return self.lam(env, goal, depth)
+                return getattr(self, names[k])(env, goal, depth)
             except _GenFail:
                 continue
         return self.leaf(env, goal)
 
-    def leaf(self, env: dict, goal) -> Expr:
-        usable = [x for x, t in env.items() if self.fits(t, goal)]
+    def fitting(self, env: dict, goal) -> list[str]:
+        """The variables of `env` whose types fit `goal`."""
+        return [x for x, t in env.items() if self.fits(t, goal)]
+
+    def abstraction(self, env: dict, annot, goal, depth: int) -> Abs:
+        """A λ over a fresh variable of type `annot`, its body fitting `goal`."""
+        x = self.fresh()
+        return Abs(x, annot, self.expr({**env, x: annot}, goal, depth))
+
+    def leaf(self, env: dict, goal, depth: int = 1) -> Expr:
+        """A variable or literal fitting `goal`; `depth`, as every builder has, is unused."""
+        usable = self.fitting(env, goal)
         if usable and self.rng.random() < 0.5:
             return Var(self.rng.choice(usable))
         return self.literal(env, goal)
@@ -229,10 +232,9 @@ class _Gen:
                 for c in Constant:
                     if self.fits(CONSTANT_TYPES[c], g) and self.rng.random() < 0.4:
                         return Const(c)
-                x = self.fresh()
-                return Abs(x, arg, self.expr({**env, x: arg}, res, 1))
+                return self.abstraction(env, arg, res, 1)
             case _:  # Refine
-                usable = [x for x, t in env.items() if self.fits(t, g)]
+                usable = self.fitting(env, g)
                 if not usable:
                     raise _GenFail
                 return Var(self.rng.choice(usable))
@@ -287,7 +289,7 @@ class _Gen:
             c = self.rng.choice((Constant.NUMBER_P, Constant.BOOLEAN_P))
             return App(Const(c), Var(x))
         if self.parity_tests:
-            nums = [x for x, t in env.items() if self.fits(t, NUM)]
+            nums = self.fitting(env, NUM)
             if nums and self.rng.random() < 0.5:
                 c = self.rng.choice(self.parity_tests)
                 return App(Const(c), Var(self.rng.choice(nums)))
@@ -323,9 +325,7 @@ class _Gen:
                 return self.even_guard(env, depth)
             case _:
                 sigma = self.rng.choice(self.annots)
-                x = self.fresh()
-                body = self.expr({**env, x: sigma}, goal, depth - 1)
-                fn = Abs(x, sigma, body)
+                fn = self.abstraction(env, sigma, goal, depth - 1)
                 lat = typecheck(self.delta, env, fn, Mode.PRIMARY).type.latent
                 arg = self.operand(env, sigma, depth, strict=lat is not None)
                 return App(fn, arg)
@@ -334,7 +334,7 @@ class _Gen:
         """Argument expression fitting `want`.  When the operator carries a
         latent predicate (`strict`), the application's predicate is built
         from the operand's, so a compound operand must pass `vet`."""
-        usable = [x for x, t in env.items() if self.fits(t, want)]
+        usable = self.fitting(env, want)
         if usable and self.rng.random() < 0.6:
             return Var(self.rng.choice(usable))
         e = self.expr(env, want, depth - 1)
@@ -357,13 +357,10 @@ class _Gen:
 
     def lam(self, env: dict, goal, depth: int) -> Expr:
         if isinstance(goal, Arrow):
-            x = self.fresh()
-            return Abs(x, goal.arg, self.expr({**env, x: goal.arg}, goal.res, depth - 1))
+            return self.abstraction(env, goal.arg, goal.res, depth - 1)
         if goal == TOP:
             sigma = self.rng.choice(self.annots)
-            x = self.fresh()
-            res = self.rng.choice(self.goals)
-            return Abs(x, sigma, self.expr({**env, x: sigma}, res, depth - 1))
+            return self.abstraction(env, sigma, self.rng.choice(self.goals), depth - 1)
         raise _GenFail
 
 

@@ -1,5 +1,5 @@
 """Refinement erasure: the erasure homomorphisms, the erased and chain
-constant tables, the erased-judgment check, and `uses_refinements`.
+constant tables, and the erased-judgment check.
 
 Erasure deletes every refinement constructor from types, annotations,
 predicates, and environments.  It reduces soundness of the refined
@@ -14,7 +14,6 @@ from .subtyping import CONSTANT_TYPES, REFINING, UndeclaredRefinement, refinemen
 from .syntax import (
     Abs,
     Arrow,
-    Const,
     Constant,
     Expr,
     Pred,
@@ -75,15 +74,6 @@ def erase_pred(p: Pred) -> Pred:
 
 def erase_env(g: TypeEnv) -> TypeEnv:
     return {x: erase_type(t) for x, t in g.items()}
-
-
-def uses_refinements(e: Expr) -> bool:
-    """True when any annotation in `e` mentions a refinement type or `e`
-    mentions a refining constant."""
-    return fold(
-        e,
-        lambda x: x.__class__ is Const and x.c in REFINING,
-        lambda x, kids: any(kids) or (x.__class__ is Abs and erase_type(x.annot) is not x.annot))
 
 
 def erased_judgment(g: TypeEnv, e: Expr) -> Judgment:

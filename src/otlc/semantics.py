@@ -195,9 +195,9 @@ def _plug(frames: list, e: Expr) -> Expr:
     """Put `e` into the hole of `frames`, reading every frame back."""
     for kind, node, x in reversed(frames):
         if kind == _RAND:
-            e = App(_close(*x) if x.__class__ is tuple else x, e)
+            e = App(_read_back(x), e)
         elif kind == _RATOR:
-            e = App(e, node.rand if x is None else _close(node.rand, x))
+            e = App(e, _close(node.rand, x))
         else:
             e = If(e, _close(node.then, x), _close(node.els, x))
     return e

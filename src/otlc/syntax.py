@@ -594,28 +594,44 @@ def parse_program(text: str) -> tuple[tuple[Constant, ...], Expr]:
 # Printer
 
 
+def _join(todo: list) -> str:
+    """The text of a stack of strings, types and tuples of pieces, each
+    tuple last piece first.  The stack is explicit, so types and terms of
+    any depth print, and no string is copied per level of nesting."""
+    pieces: list[str] = []
+    while todo:
+        x = todo.pop()
+        cls = x.__class__
+        if cls is str:
+            pieces.append(x)
+        elif cls is tuple:
+            todo += x
+        elif x in _TYPE_NAMES:
+            pieces.append(_TYPE_NAMES[x])
+        elif cls is Arrow:
+            todo += ((")", x.res, " ", x.arg, "(-> ") if x.latent is None
+                     else (")", x.latent, " : ", x.res, " ", x.arg, "(-> "))
+        elif cls is UnionT:
+            parts: list = list(x.members)
+            for i in range(len(parts) - 1):
+                if parts[i] is TRUE_T and parts[i + 1] is FALSE_T:
+                    parts[i:i + 2] = ["Boolean"]
+                    break
+            todo.append(")")
+            for part in reversed(parts):
+                todo += (part, " ")
+            todo[-1] = "(U "
+        elif cls is Refine:
+            pieces.append(f"(Refinement {x.pred.value})")
+        else:
+            raise TypeError(f"not a type: {x!r}")
+    return "".join(pieces)
+
+
 def print_type(t: Type) -> str:
     if t in _TYPE_NAMES:
         return _TYPE_NAMES[t]
-    match t:
-        case UnionT(members):
-            parts = []
-            i = 0
-            while i < len(members):
-                if members[i] == TRUE_T and i + 1 < len(members) and members[i + 1] == FALSE_T:
-                    parts.append("Boolean")
-                    i += 2
-                else:
-                    parts.append(print_type(members[i]))
-                    i += 1
-            return "(U " + " ".join(parts) + ")"
-        case Arrow(arg, res, latent):
-            if latent is None:
-                return f"(-> {print_type(arg)} {print_type(res)})"
-            return f"(-> {print_type(arg)} {print_type(res)} : {print_type(latent)})"
-        case Refine(c):
-            return f"(Refinement {c.value})"
-    raise TypeError(f"not a type: {t!r}")
+    return _join([t])
 
 
 def print_pred(p: Pred) -> str:
@@ -644,21 +660,11 @@ def _pieces(e: Expr, kids=()) -> str | tuple:
     if cls is Const:
         return e.c.value
     if cls is Abs:
-        return ")", kids[0], f"(lambda ({e.param} : {print_type(e.annot)}) "
+        return ")", kids[0], ") ", e.annot, f"(lambda ({e.param} : "
     if cls is Bool:
         return "#t" if e.value else "#f"
     raise TypeError(f"not an expression: {e!r}")
 
 
 def print_expr(e: Expr) -> str:
-    # No string is copied per level: the fold nests the pieces, and a stack
-    # pops them in order to be joined once.
-    pieces: list[str] = []
-    todo = [fold(e, _pieces, _pieces)]
-    while todo:
-        x = todo.pop()
-        if x.__class__ is str:
-            pieces.append(x)
-        else:
-            todo += x
-    return "".join(pieces)
+    return _join([fold(e, _pieces, _pieces)])

@@ -87,7 +87,7 @@ def test_check_unknown_delta_name(program, capsys):
 
 
 def test_check_refinement_default_delta(program, capsys):
-    # Files using refinement syntax default to {even?, odd?}.
+    # A file that declares nothing gets {even?, odd?}.
     path = program("(lambda (n : Number) (if (even? n) 1 0))")
     assert main(["check", path]) == EXIT_OK
 
@@ -286,6 +286,16 @@ def test_deep_input_is_a_clean_usage_error(program, capsys, command, depth):
     err = capsys.readouterr().err
     assert err == f"{path}: input nested too deeply\n"
     assert "Traceback" not in err
+
+
+def test_deep_lambda_tower_checks(program, capsys):
+    # The checker builds an arrow type nested as deep as the term, and
+    # `print_type` prints it.
+    depth = 3000
+    path = program("".join(f"(lambda (x{i} : Number) " for i in range(depth)) + "x0"
+                   + ")" * depth)
+    assert main(["check", path]) == EXIT_OK
+    assert capsys.readouterr() == ("(-> Number " * depth + "Number" + ")" * depth + " ; tt\n", "")
 
 
 def test_fuzz_too_deep_is_a_clean_usage_error(capsys):

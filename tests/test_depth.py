@@ -1,12 +1,13 @@
-"""Terms of any depth: the reader, the checker, the printer, erasure, the
+"""Terms of any depth: the reader, the checker, the printers, erasure, the
 machine, subject reduction, the shrinker's positions, and `==`, `hash`
-and `repr` on terms do not recurse on the nesting depth of a term."""
+and `repr` on terms do not recurse on the nesting depth of a term, and
+`print_type` does not recurse on the nesting depth of a type."""
 
 import pytest
 
 from otlc.checker import Mode, TypeCheckError, typecheck
 from otlc.harness import _positions, check_subject_reduction
-from otlc.refine import erase_expr, uses_refinements
+from otlc.refine import erase_expr
 from otlc.semantics import trace
 from otlc.subtyping import REFINING
 from otlc.syntax import NUM, Arrow, parse_expr, print_expr, print_pred, print_type
@@ -43,7 +44,6 @@ def test_deep_tower_erases(tower):
     _, _, e = tower
     # Nothing to erase, so nothing is rebuilt.
     assert erase_expr(e) is e
-    assert uses_refinements(e) is False
 
 
 def test_deep_tower_traces(tower):
@@ -114,11 +114,12 @@ def lambda_tower(depth, body):
 
 
 def test_deep_lambda_tower_judgment():
-    # The type is an arrow nested as deep as the term, which `print_type`,
-    # still recursive, cannot print; a loop reads it.
+    # The type is an arrow nested as deep as the term; `print_type` and a
+    # loop read it.
     depth = 10**4
     j = typecheck(EMPTY, {}, parse_expr(lambda_tower(depth, "x0")))
     assert print_pred(j.pred) == "tt"
+    assert print_type(j.type) == "(-> Number " * depth + "Number" + ")" * depth
     t = j.type
     for _ in range(depth):
         assert isinstance(t, Arrow) and t.arg is NUM and t.latent is None

@@ -1,8 +1,14 @@
-"""The erasure homomorphisms and the erased judgments."""
+"""The erasure homomorphisms, the erased judgments, and Δ on programs
+without refinements."""
+
+import random
+import re
+from pathlib import Path
 
 import pytest
 
-from otlc.checker import Mode, typecheck
+from otlc.checker import Mode, TypeCheckError, typecheck
+from otlc.harness import gen_typed_term
 from otlc.refine import (
     CHAIN_CONSTANT_TYPES,
     ERASED_CONSTANT_TYPES,
@@ -12,9 +18,9 @@ from otlc.refine import (
     erase_type,
     erased_judgment,
     erased_judgment_holds,
-    uses_refinements,
 )
 from otlc.semantics import Stepped, Value, evaluate, step
+from otlc.subtyping import REFINING
 from otlc.syntax import (
     Bool,
     Constant,
@@ -24,6 +30,7 @@ from otlc.syntax import (
     is_value,
     parse_expr,
     parse_pred,
+    parse_program,
     parse_type,
     print_expr,
     print_pred,
@@ -91,18 +98,30 @@ def test_erasure_preserves_value_and_free_vars():
 
 
 # ---------------------------------------------------------------------------
-# uses_refinements
+# Δ without refinements
 
 
-@pytest.mark.parametrize("src,expected", [
-    ("(lambda (n : (Refinement even?)) n)", True),
-    ("(even? 4)", True),
-    ("(if (odd? x) 1 0)", True),
-    ("(lambda (n : Number) (add1 n))", False),
-    ("5", False),
-])
-def test_uses_refinements(src, expected):
-    assert uses_refinements(parse_expr(src)) is expected
+def _verdict(delta, e, mode):
+    try:
+        j = typecheck(delta, {}, e, mode)
+    except TypeCheckError as err:
+        return str(err)
+    return j.type, j.pred
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_delta_is_moot_without_refinements(mode):
+    # `otlc` gives a file that declares nothing Δ = {even?, odd?}.  Δ only
+    # matters to a subtype query that meets a refinement type, which a
+    # term with no refinement annotation and no parity test cannot make.
+    programs = [parse_program(p.read_text(encoding="utf-8"))
+                for p in sorted((Path(__file__).parent / "corpus").glob("*.lts"))]
+    terms = [e for decls, e in programs if not decls]
+    terms += [gen_typed_term(random.Random(f"moot:{i}"), 6, frozenset()) for i in range(300)]
+    plain = [e for e in terms if not re.search(r"Refinement|even\?|odd\?", print_expr(e))]
+    assert len(plain) > 300
+    for e in plain:
+        assert _verdict(frozenset(), e, mode) == _verdict(frozenset(REFINING), e, mode)
 
 
 # ---------------------------------------------------------------------------
