@@ -4,8 +4,10 @@
 Term `i` of seed `s` is drawn from `random.Random(f"dist:{s}:{i}")`.  The
 statistics are the mean node count, the mean number of reduction steps,
 the share of single-node terms (atoms), the share of terms that take no
-step, and how often each primary typing rule fires on the terms.  Compare
-two versions of the generator by running the same command on each.
+step, for each refinement predicate c of Δ the share of terms that
+mention `(Refinement c)`, and how often each primary typing rule fires on
+the terms.  Compare two versions of the generator by running the same
+command on each.
 
 Example:
     python3 scripts/gen_stats.py --count 5000 --seeds 1 2 3 4 --refinements
@@ -24,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from otlc.harness import FuzzConfig, gen_typed_term  # noqa: E402
 from otlc.semantics import trace  # noqa: E402
 from otlc.subtyping import REFINING  # noqa: E402
-from otlc.syntax import fold  # noqa: E402
+from otlc.syntax import fold, print_expr  # noqa: E402
 
 
 def nodes(e) -> int:
@@ -35,12 +37,16 @@ def stats(count: int, seeds: list[int], depth: int, fuel: int,
           refinements: bool) -> dict:
     delta = frozenset(REFINING if refinements else ())
     sizes, steps, coverage = [], [], {}
+    refined = {c: 0 for c in REFINING if c in delta}  # terms mentioning (Refinement c)
     for seed in seeds:
         for i in range(count):
             e = gen_typed_term(random.Random(f"dist:{seed}:{i}"), depth,
                                delta, coverage=coverage)
             sizes.append(nodes(e))
             steps.append(len(trace(e, fuel)) - 1)
+            text = print_expr(e)
+            for c in refined:
+                refined[c] += f"(Refinement {c.value})" in text
     terms = len(sizes)
     return {
         "mode": "refinements" if refinements else "base",
@@ -50,6 +56,7 @@ def stats(count: int, seeds: list[int], depth: int, fuel: int,
         "mean_steps": round(sum(steps) / terms, 3),
         "atom_pct": round(100 * sizes.count(1) / terms, 2),
         "zero_step_pct": round(100 * steps.count(0) / terms, 2),
+        "refinement_pct": {c.value: round(100 * n / terms, 2) for c, n in refined.items()},
         "coverage": dict(sorted(coverage.items())),
     }
 

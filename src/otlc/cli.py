@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .checker import Mode, TypeCheckError, typecheck
-from .harness import FuzzConfig, run_fuzz
+from .harness import BUCKETS, FuzzConfig, run_fuzz
 from .semantics import DEFAULT_FUEL, FuelExhausted, StuckAt, Value, evaluate, trace
 from .subtyping import REFINING, UndeclaredRefinement
 from .syntax import (
@@ -129,10 +129,8 @@ def cmd_fuzz(args) -> int:
     failures = report.all_failures()
     print(f"generated {report.generated} terms "
           f"(seed {report.seed}, {report.elapsed_ms:.0f} ms)")
-    print(f"preservation failures: {len(report.preservation_failures)}")
-    print(f"progress failures:     {len(report.progress_failures)}")
-    print(f"erasure failures:      {len(report.erasure_failures)}")
-    print(f"round-trip failures:   {len(report.roundtrip_failures)}")
+    for b in BUCKETS:
+        print(f"{b + ' failures:':23}{len(report.bucket(b))}")
     print("rule coverage:")
     for rule, count in sorted(report.coverage.items()):
         print(f"  {rule}: {count}")

@@ -72,11 +72,12 @@ from .syntax import (
 )
 
 NUM_OR_BOOL = UnionT((NUM, TRUE_T, FALSE_T))
-REFINE_EVEN = Refine(Constant.EVEN_P)
 
-_PREDICATE_CONSTANTS = (
-    Constant.NOT, Constant.NUMBER_P, Constant.BOOLEAN_P, Constant.PROCEDURE_P,
-)
+# A parity guard's function type per refining constant, held so it is built once.
+_GUARDED = {c: Arrow(Refine(c), NUM) for c in REFINING}
+
+_PREDICATE_CONSTANTS = tuple(c for c, t in CONSTANT_TYPES.items()
+                             if t.res == BOOLEAN and c not in REFINING)
 
 # The builder methods of `_Gen`, each with its count in a 100-card deck.
 # `_Gen.expr` tries at most _BUILDER_TRIES of them, drawn one at a time
@@ -114,20 +115,29 @@ class FuzzFailure:
     detail: str
 
 
+BUCKETS = ("preservation", "progress", "erasure", "round-trip")
+
+_KIND_BUCKET = {"preservation": "preservation", "soundness": "preservation",
+                "progress": "progress", "fuel-exhausted": "progress",
+                "erased-typing": "erasure", "erasure-commutation": "erasure",
+                "roundtrip": "round-trip"}
+
+
 @dataclass
 class FuzzReport:
     generated: int = 0
-    preservation_failures: list[FuzzFailure] = field(default_factory=list)
-    progress_failures: list[FuzzFailure] = field(default_factory=list)
-    erasure_failures: list[FuzzFailure] = field(default_factory=list)
-    roundtrip_failures: list[FuzzFailure] = field(default_factory=list)
+    failures: list[FuzzFailure] = field(default_factory=list)  # in the order found
     coverage: dict[str, int] = field(default_factory=dict)
     seed: int = 0
     elapsed_ms: float = 0.0
 
+    def bucket(self, name: str) -> list[FuzzFailure]:
+        """The failures whose kind falls in bucket `name` of `BUCKETS`."""
+        return [f for f in self.failures if _KIND_BUCKET[f.kind] == name]
+
     def all_failures(self) -> list[FuzzFailure]:
-        return (self.preservation_failures + self.progress_failures
-                + self.erasure_failures + self.roundtrip_failures)
+        """The failures in bucket order, each bucket in the order found."""
+        return [f for b in BUCKETS for f in self.bucket(b)]
 
     def to_dict(self) -> dict:
         return {
@@ -160,9 +170,8 @@ class _Gen:
         self.parity_tests = tuple(c for c in REFINING if c in delta)
         self.counter = 0
         self.goals = [NUM, BOOLEAN, TOP, NUM_OR_BOOL]
-        self.annots = [TOP, NUM, BOOLEAN, NUM_OR_BOOL, Arrow(NUM, NUM), Arrow(TOP, BOOLEAN)]
-        if Constant.EVEN_P in delta:
-            self.annots.append(Arrow(REFINE_EVEN, NUM))
+        self.annots = [TOP, NUM, BOOLEAN, NUM_OR_BOOL, Arrow(NUM, NUM), Arrow(TOP, BOOLEAN),
+                       *(_GUARDED[c] for c in self.parity_tests)]
 
     def fresh(self) -> str:
         self.counter += 1
@@ -306,8 +315,8 @@ class _Gen:
         if arrows:
             options.append("call")
         options.append("beta")
-        if Constant.EVEN_P in self.delta and self.fits(NUM, goal):
-            options.append("even-guard")
+        if self.parity_tests and self.fits(NUM, goal):
+            options.append("parity-guard")
         match self.rng.choice(options):
             case "add1":
                 return App(Const(Constant.ADD1), self.operand(env, NUM, depth))
@@ -321,8 +330,8 @@ class _Gen:
                 ft = env[f]
                 return App(Var(f), self.operand(env, ft.arg, depth,
                                                 strict=ft.latent is not None))
-            case "even-guard":
-                return self.even_guard(env, depth)
+            case "parity-guard":
+                return self.parity_guard(env, depth)
             case _:
                 sigma = self.rng.choice(self.annots)
                 fn = self.abstraction(env, sigma, goal, depth - 1)
@@ -342,15 +351,15 @@ class _Gen:
             self.vet(env, e)
         return e
 
-    def even_guard(self, env: dict, depth: int) -> Expr:
-        """A function guarded by a parity test, applied to concrete values:
-        ((lambda (f : (-> (Refinement even?) Number))
-           (lambda (n : Number) (if (even? n) (f n) n))) v_f) v_n."""
+    def parity_guard(self, env: dict, depth: int) -> Expr:
+        """A function guarded by a parity test c of Δ, applied to concrete
+        values: ((lambda (f : (-> (Refinement c) Number))
+           (lambda (n : Number) (if (c n) (f n) n))) v_f) v_n."""
+        c = self.rng.choice(self.parity_tests)
         f, n, m = self.fresh(), self.fresh(), self.fresh()
         guarded = Abs(
-            f, Arrow(REFINE_EVEN, NUM),
-            Abs(n, NUM, If(App(Const(Constant.EVEN_P), Var(n)),
-                           App(Var(f), Var(n)), Var(n))))
+            f, _GUARDED[c],
+            Abs(n, NUM, If(App(Const(c), Var(n)), App(Var(f), Var(n)), Var(n))))
         fn_arg = Abs(m, NUM, self.operand({**env, m: NUM}, NUM, depth - 1))
         num_arg = self.operand(env, NUM, depth - 1)
         return App(App(guarded, fn_arg), num_arg)
@@ -512,16 +521,6 @@ def shrink_failure(e: Expr, delta: frozenset, still_fails, budget: int = 200) ->
 # The driver
 
 
-_KIND_BUCKET = {
-    "preservation": "preservation_failures",
-    "soundness": "preservation_failures",
-    "progress": "progress_failures",
-    "fuel-exhausted": "progress_failures",
-    "erased-typing": "erasure_failures",
-    "erasure-commutation": "erasure_failures",
-}
-
-
 def run_fuzz(config: FuzzConfig) -> FuzzReport:
     """Deterministic for a given config; failures are data, not errors."""
     start = time.monotonic()
@@ -533,7 +532,7 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
         report.generated += 1
 
         if parse_expr(print_expr(e)) != e:
-            report.roundtrip_failures.append(
+            report.failures.append(
                 FuzzFailure("roundtrip", print_expr(e), 0,
                             "printing then parsing changed the term"))
 
@@ -543,8 +542,6 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
                 return bool(check_subject_reduction(t, config.fuel, delta))
 
             minimal = shrink_failure(e, delta, still_fails)
-            min_fails = check_subject_reduction(minimal, config.fuel, delta) or fails
-            for f in min_fails:
-                getattr(report, _KIND_BUCKET[f.kind]).append(f)
+            report.failures += check_subject_reduction(minimal, config.fuel, delta) or fails
     report.elapsed_ms = (time.monotonic() - start) * 1000.0
     return report

@@ -117,10 +117,10 @@ def test_criterion_4_fuzz_soundness():
     rep = run_fuzz(FuzzConfig(count=10_000, seed=1, max_depth=6, fuel=1000))
     elapsed = time.monotonic() - start
     assert rep.generated == 10_000
-    assert rep.preservation_failures == []
-    assert rep.progress_failures == []
-    assert rep.erasure_failures == []
-    assert rep.roundtrip_failures == []
+    assert rep.bucket("preservation") == []
+    assert rep.bucket("progress") == []
+    assert rep.bucket("erasure") == []
+    assert rep.bucket("round-trip") == []
     for rule in FIG2_RULES:
         assert rep.coverage.get(rule, 0) > 0, f"rule {rule} never exercised"
     assert elapsed < 300, f"fuzz run took {elapsed:.0f}s"
@@ -134,9 +134,9 @@ def test_criterion_5_erasure_lemmas():
     rep = run_fuzz(FuzzConfig(count=10_000, seed=1, max_depth=6, fuel=1000,
                               with_refinements=True))
     assert rep.generated == 10_000
-    assert rep.erasure_failures == []
-    assert rep.preservation_failures == []
-    assert rep.progress_failures == []
+    assert rep.bucket("erasure") == []
+    assert rep.bucket("preservation") == []
+    assert rep.bucket("progress") == []
 
 
 # ---------------------------------------------------------------------------

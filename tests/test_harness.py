@@ -1,12 +1,17 @@
 """Fuzzing harness: generator soundness, determinism, subject-reduction
 checking, shrinking, and a mutation sanity check."""
 
+import contextlib
+import functools
 import hashlib
+import io
+import itertools
 import json
 import random
 
 import pytest
 
+import otlc.cli as cli
 import otlc.harness as harness
 import otlc.semantics as semantics
 from otlc.checker import Mode, TypeCheckError, typecheck
@@ -20,6 +25,7 @@ from otlc.harness import (
     shrink_failure,
 )
 from otlc.semantics import Value, evaluate, trace
+from otlc.subtyping import REFINING
 from otlc.syntax import (
     Abs,
     App,
@@ -82,18 +88,29 @@ def test_generation_deterministic():
 # change to the generator's random draws, or to their order, changes it.
 STREAM_SHA256 = {
     False: "9997e175592bf1f98433e25c72b1fedebe5f13ba7bfde4f4e798b4da2fed5b33",
-    True: "adca3666d469b6b286d8c6f3c7d80e6468ce767b09d8ce02ceb5a839ccbb133b",
+    True: "4b2b582bb8272b3665e046b0750c9e95880cc4e22e6e2f549e3eb583758ea6c7",
 }
+
+
+@functools.cache
+def _stream(refinements: bool) -> tuple[str, ...]:
+    delta = BOTH if refinements else EMPTY
+    return tuple(print_expr(gen_typed_term(random.Random(f"stream:{i}"), 6, delta))
+                 for i in range(300))
 
 
 @pytest.mark.parametrize("refinements", [False, True])
 def test_generator_stream_is_pinned(refinements):
-    delta = BOTH if refinements else EMPTY
     h = hashlib.sha256()
-    for i in range(300):
-        e = gen_typed_term(random.Random(f"stream:{i}"), 6, delta)
-        h.update(print_expr(e).encode() + b"\n")
+    for term in _stream(refinements):
+        h.update(term.encode() + b"\n")
     assert h.hexdigest() == STREAM_SHA256[refinements]
+
+
+@pytest.mark.parametrize("c", REFINING, ids=lambda c: c.value)
+def test_refinement_stream_mentions_every_refinement(c):
+    # Annotations and parity guards are drawn from every predicate of Δ.
+    assert any(f"(Refinement {c.value})" in term for term in _stream(True))
 
 
 def test_coverage_is_keyword_only():
@@ -285,6 +302,63 @@ def test_report_json_schema():
     assert isinstance(d["coverage"], dict)
     for f in d["failures"]:
         assert set(f) == {"kind", "term", "step", "detail"}
+
+
+# Per term of a six-term run: the failure kinds its check reports, and
+# whether its print/parse round trip fails.
+_SCRIPTED = [(["progress", "preservation"], False), (["erasure-commutation"], True),
+             ([], False), (["soundness", "fuel-exhausted"], False),
+             (["erased-typing"], True), (["preservation"], False)]
+
+
+def _script_failures(monkeypatch):
+    """Make the next six-term `run_fuzz` find the failures of `_SCRIPTED`."""
+    shrunk = object()
+    terms = itertools.count()
+    round_trips = itertools.count()
+
+    def check(e, fuel, delta):
+        if e is shrunk:  # the shrunk term passes, so the first verdicts stand
+            return []
+        i = next(terms)
+        return [FuzzFailure(kind, f"t{i}", i, f"{kind} in t{i}") for kind in _SCRIPTED[i][0]]
+
+    def parse(text):
+        return None if _SCRIPTED[next(round_trips)][1] else parse_expr(text)
+
+    monkeypatch.setattr(harness, "check_subject_reduction", check)
+    monkeypatch.setattr(harness, "shrink_failure", lambda e, delta, still_fails: shrunk)
+    monkeypatch.setattr(harness, "parse_expr", parse)
+
+
+def test_report_lists_failures_by_bucket(monkeypatch):
+    _script_failures(monkeypatch)
+    rep = run_fuzz(FuzzConfig(count=6, seed=1))
+    got = [(f["kind"], f["step"], f["detail"]) for f in rep.to_dict()["failures"]]
+    assert got == [
+        ("preservation", 0, "preservation in t0"),
+        ("soundness", 3, "soundness in t3"),
+        ("preservation", 5, "preservation in t5"),
+        ("progress", 0, "progress in t0"),
+        ("fuel-exhausted", 3, "fuel-exhausted in t3"),
+        ("erasure-commutation", 1, "erasure-commutation in t1"),
+        ("erased-typing", 4, "erased-typing in t4"),
+        ("roundtrip", 0, "printing then parsing changed the term"),
+        ("roundtrip", 0, "printing then parsing changed the term"),
+    ]
+
+
+def test_fuzz_cli_counts_failures_by_bucket(monkeypatch):
+    _script_failures(monkeypatch)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["fuzz", "--count", "6", "--seed", "1"]) == cli.EXIT_FAILURE
+    assert out.getvalue().splitlines()[1:5] == [
+        "preservation failures: 3",
+        "progress failures:     2",
+        "erasure failures:      2",
+        "round-trip failures:   2",
+    ]
 
 
 def test_coverage_counts_rules():
