@@ -2,11 +2,11 @@
 combination, and the syntax-directed typechecker.
 
 Two rule sets are supported.  The primary rules are what a programmer
-sees.  The extended rules additionally let the checker skip a conditional
-branch whose test is statically known true or false, and assign constant
-truth predicates to applications of predicates to closed values; they
-exist so that every intermediate term of a reduction sequence stays
-typeable.
+sees.  The extended rules keep every intermediate term of a reduction
+sequence typeable: they type #t and #f at True and False, skip a branch
+whose test is decided, decide a predicate applied to an operand other
+than a variable (true when its type is below the latent, false when the
+two cannot overlap), and apply an operator of type Bot as (-> Top Bot).
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .syntax import (
     NONE_PRED,
     NonePred,
     NUM,
+    TOP,
+    TRUE_T,
     TT,
     Abs,
     App,
@@ -40,12 +42,10 @@ from .syntax import (
     UnionT,
     Var,
     VarPred,
-    free_vars,
-    is_value,
     print_expr,
     print_type,
 )
-from .subtyping import CONSTANT_TYPES, subtype
+from .subtyping import CONSTANT_TYPES, overlap, subtype
 
 TypeEnv = dict  # identifier -> Type; treated as immutable
 
@@ -75,12 +75,14 @@ class TypeCheckError(Exception):
 
 
 def restrict(delta: frozenset, s: Type, t: Type) -> Type:
-    """Narrow s to the portion that is a subtype of t."""
+    """Narrow s to the portion that is a subtype of t: a part of s that is
+    not becomes t, or Bot if it cannot overlap t."""
     if subtype(delta, s, t):
         return s
     if isinstance(s, UnionT):
-        return UnionT(tuple(m if subtype(delta, m, t) else t for m in s.members))
-    return t
+        return UnionT(tuple(m if subtype(delta, m, t) else t if overlap(m, t) else BOT
+                            for m in s.members))
+    return t if overlap(s, t) else BOT
 
 
 def remove(delta: frozenset, s: Type, t: Type) -> Type:
@@ -202,8 +204,8 @@ def typecheck(
             elif cls is Const:
                 rule, j = "T-Const", Judgment(constants[e.c], TT)
             elif cls is Bool:
-                rule, pred = ("T-True", TT) if e.value else ("T-False", FF)
-                j = Judgment(BOOLEAN, pred)
+                rule, t, pred = ("T-True", TRUE_T, TT) if e.value else ("T-False", FALSE_T, FF)
+                j = Judgment(t if extended else BOOLEAN, pred)
             else:
                 raise TypeCheckError("T-?", e, f"not an expression: {e!r}")
             hit(rule)
@@ -218,6 +220,10 @@ def typecheck(
                         e, g = node.rand, env
                         break
                     op_type = js[0].type
+                    if extended and op_type is BOT:
+                        # A narrowing can leave an operator in a dead branch
+                        # at Bot, which subsumption makes a function type.
+                        op_type = Arrow(TOP, BOT)
                     if not isinstance(op_type, Arrow):
                         raise TypeCheckError(
                             "T-App", node, f"operator has non-function type {print_type(op_type)}")
@@ -229,7 +235,7 @@ def typecheck(
                     # A variable operand keeps the informative per-variable
                     # predicate; letting the constant-predicate rules win
                     # there makes the extended judgment diverge from the
-                    # primary one inside binders.  On value operands they
+                    # primary one inside binders.  On other operands they
                     # are the rules that keep reducts typeable.
                     latent, rule, pred = op_type.latent, "T-App", NONE_PRED
                     if latent is not None and isinstance(j.pred, VarPred):
@@ -237,7 +243,7 @@ def typecheck(
                     elif extended and latent is not None:
                         if subtype(delta, j.type, latent):
                             rule, pred = "T-AppPredTrue", TT
-                        elif is_value(node.rand) and not free_vars(node.rand):
+                        elif not overlap(j.type, latent):
                             rule, pred = "T-AppPredFalse", FF
                     hit(rule)
                     j = Judgment(op_type.res, pred)

@@ -9,6 +9,8 @@ well-typed at the erased type, and erasure commutes with reduction.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .checker import Judgment, Mode, TypeCheckError, TypeEnv, is_subpred, typecheck
 from .subtyping import CONSTANT_TYPES, REFINING, UndeclaredRefinement, refinement_base, subtype
 from .syntax import (
@@ -26,7 +28,9 @@ from .syntax import (
 )
 
 
+@lru_cache(maxsize=None)
 def erase_type(t: Type) -> Type:
+    """`t` without refinements, memoized: a hash-consed key costs O(1)."""
     match t:
         case Refine(c):
             return refinement_base(c)

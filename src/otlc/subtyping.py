@@ -21,8 +21,11 @@ from .syntax import (
     TOP,
     Arrow,
     Constant,
+    FalseT,
+    NumT,
     Refine,
     TopT,
+    TrueT,
     Type,
     UnionT,
 )
@@ -59,6 +62,25 @@ def normalize(t: Type) -> Type:
     """The identity: every type is already built in normal form.  Kept only
     because `bench/run.py` still reads `subtyping.normalize`."""
     return t
+
+
+# The kinds of value each type but a union holds, a bit each: number, #t,
+# #f and procedure.  A (Refinement c) holds numbers, and Top every kind.
+_KINDS = {NumT: 1, Refine: 1, TrueT: 2, FalseT: 4, Arrow: 8, TopT: 15}
+
+
+def _kinds(t: Type) -> int:
+    kinds = 0
+    for m in t.members if isinstance(t, UnionT) else (t,):
+        kinds |= _KINDS[m.__class__]
+    return kinds
+
+
+def overlap(s: Type, t: Type) -> bool:
+    """Whether s and t can share a value, by the kinds of value they hold.
+    A union holds its members' kinds, and a normal union has no union
+    members.  So two arrows, or two refinements, always overlap."""
+    return bool(_kinds(s) & _kinds(t))
 
 
 def subtype(delta: frozenset[Constant] | set[Constant], s: Type, t: Type) -> bool:

@@ -2,7 +2,7 @@
 
 Every typing rule is tried independently wherever its premises hold, and
 the full set of derivable (type, predicate) judgments is returned.  The
-metafunctions (restrict, remove, environment updates, predicate
+metafunctions (overlap, restrict, remove, environment updates, predicate
 combination) are re-implemented here from scratch so that a bug in the
 checker's copies cannot hide; only the subtype relation and the type
 constructors, which build every type in normal form, are shared, since the
@@ -18,6 +18,8 @@ from otlc.syntax import (
     FF,
     NONE_PRED,
     NUM,
+    TOP,
+    TRUE_T,
     TT,
     Abs,
     App,
@@ -26,20 +28,45 @@ from otlc.syntax import (
     BOOLEAN,
     Const,
     Expr,
+    FalseT,
     FalsePred,
     If,
     Num,
     NonePred,
+    NumT,
+    Refine,
+    TopT,
+    TrueT,
     TruePred,
     TypeOfPred,
     UnionT,
     Var,
     VarPred,
-    free_vars,
-    is_value,
 )
 
 BOT = UnionT(())
+
+
+def o_kinds(t):
+    """The kinds of value t holds: numbers (a refinement holds numbers),
+    #t, #f and procedures."""
+    match t:
+        case TopT():
+            return {"number", "#t", "#f", "procedure"}
+        case UnionT(members):
+            return set().union(*map(o_kinds, members))
+        case Arrow():
+            return {"procedure"}
+        case NumT() | Refine():
+            return {"number"}
+        case TrueT():
+            return {"#t"}
+        case FalseT():
+            return {"#f"}
+
+
+def o_overlap(s, t):
+    return bool(o_kinds(s) & o_kinds(t))
 
 
 def o_restrict(delta, s, t):
@@ -47,7 +74,7 @@ def o_restrict(delta, s, t):
         return s
     if isinstance(s, UnionT):
         return UnionT(tuple(o_restrict(delta, m, t) for m in s.members))
-    return t
+    return t if o_overlap(s, t) else BOT
 
 
 def o_remove(delta, s, t):
@@ -117,7 +144,10 @@ def derive(delta, g: dict, e: Expr, mode: Mode) -> frozenset:
         case Const(c):
             out.add((CONSTANT_TYPES[c], TT))
         case Bool(v):
-            out.add((BOOLEAN, TT if v else FF))
+            if mode is Mode.EXTENDED:
+                out.add((TRUE_T if v else FALSE_T, TT if v else FF))
+            else:
+                out.add((BOOLEAN, TT if v else FF))
         case Abs(x, sigma, body):
             for (tb, pb) in derive(delta, {**g, x: sigma}, body, mode):
                 out.add((Arrow(sigma, tb, None), TT))
@@ -125,6 +155,8 @@ def derive(delta, g: dict, e: Expr, mode: Mode) -> frozenset:
                     out.add((Arrow(sigma, tb, pb.type), TT))
         case App(e1, e2):
             for (arrow, _) in derive(delta, g, e1, mode):
+                if mode is Mode.EXTENDED and arrow == BOT:
+                    arrow = Arrow(TOP, BOT)
                 if not isinstance(arrow, Arrow):
                     continue
                 for (t2, p2) in derive(delta, g, e2, mode):
@@ -138,7 +170,7 @@ def derive(delta, g: dict, e: Expr, mode: Mode) -> frozenset:
                         if mode is Mode.EXTENDED:
                             if subtype(delta, t2, arrow.latent):
                                 out.add((res, TT))
-                            elif is_value(e2) and not free_vars(e2):
+                            elif not o_overlap(t2, arrow.latent):
                                 out.add((res, FF))
         case If(e1, e2, e3):
             for (_, p1) in derive(delta, g, e1, mode):

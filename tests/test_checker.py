@@ -4,6 +4,7 @@ and cross-mode properties."""
 import pytest
 
 from otlc.checker import (
+    Judgment,
     Mode,
     TypeCheckError,
     combfilter,
@@ -33,6 +34,7 @@ from otlc.syntax import (
 
 EMPTY = frozenset()
 EVEN = frozenset({Constant.EVEN_P})
+PARITY = frozenset({Constant.EVEN_P, Constant.ODD_P})
 
 
 def T(s):
@@ -57,6 +59,9 @@ def check(src, mode=Mode.PRIMARY, env=None, delta=EMPTY):
     ("Top", "Number", "Number"),
     ("(U Number Boolean)", "Boolean", "Boolean"),
     ("Boolean", "True", "True"),
+    # a part that cannot overlap the target narrows to Bot, not to the target
+    ("Number", "(-> Bot Top)", "Bot"),
+    ("(U Number True)", "Boolean", "True"),
 ])
 def test_restrict(s, t, expected):
     assert restrict(EMPTY, T(s), T(t)) == T(expected)
@@ -235,6 +240,12 @@ def test_refinement_guarded_call():
     assert inner.type == T("Number")
 
 
+def test_impossible_type_test_narrows_to_bot():
+    # (procedure? n) cannot hold of a Number, so its then branch is dead.
+    j = check("(lambda (n : Number) (if (procedure? n) n 0))")
+    assert print_type(j.type) == "(-> Number Number)"
+
+
 def test_var_judgment_names_the_variable():
     j = check("x", env={"x": T("Top")})
     assert j.type == T("Top")
@@ -281,6 +292,36 @@ def test_extended_app_pred_true_false_on_values():
     assert check("(number? #t)", Mode.PRIMARY).pred == NONE_PRED
 
 
+def test_extended_literals_are_singletons():
+    # The primary rules type both at Boolean (test_literal_judgments).
+    assert check("#t", Mode.EXTENDED) == Judgment(T("True"), TT)
+    assert check("#f", Mode.EXTENDED) == Judgment(T("False"), FF)
+
+
+def test_extended_app_pred_false_on_compound_operands():
+    # An operand whose type cannot overlap the latent decides the test false,
+    # value or not.
+    assert check("(number? (if #t #f #t))", Mode.EXTENDED).pred == FF
+    assert check("(procedure? (add1 1))", Mode.EXTENDED).pred == FF
+    assert check("(number? (not 1))", Mode.EXTENDED).pred == FF
+    assert check("(number? (if #t #f #t))").pred == NONE_PRED
+
+
+@pytest.mark.parametrize("src", ["(even? 98)", "(even? 99)"])
+def test_extended_parity_tests_are_undecided(src):
+    # A Number may or may not be even: the latent overlaps the operand's type
+    # without containing it, so the extended rules decide neither case.
+    assert check(src, Mode.EXTENDED, delta=PARITY).pred == NONE_PRED
+
+
+def test_extended_applies_an_operator_of_type_bot():
+    # Subsumption gives Bot the type (-> Top Bot); the primary rules reject it.
+    env = {"f": T("Bot")}
+    assert check("(f #t)", Mode.EXTENDED, env=env) == Judgment(T("Bot"), NONE_PRED)
+    with pytest.raises(TypeCheckError, match="non-function type"):
+        check("(f #t)", env=env)
+
+
 def test_extended_app_keeps_variable_fact():
     # A latent applied to a variable yields the per-variable fact in both
     # modes, even when the variable's type already decides the test.
@@ -322,19 +363,20 @@ def test_argument_subtype_failure_breadcrumb():
     assert "T-App" in msg and "(add1 x)" in msg and "T-Abs" in msg
 
 
-@pytest.mark.parametrize("src,mode,trail", [
+@pytest.mark.parametrize("src,mode,trail,literal", [
     ("(lambda (x : Top) (if (number? x) (add1 #t) 0))", Mode.PRIMARY,
-     "[via T-Abs > T-If > T-App]"),
-    ("(if #t (add1 #t) 0)", Mode.EXTENDED, "[via T-IfTrue > T-App]"),
-    ("(if #f 0 (add1 #t))", Mode.EXTENDED, "[via T-IfFalse > T-App]"),
+     "[via T-Abs > T-If > T-App]", "Boolean"),
+    ("(if #t (add1 #t) 0)", Mode.EXTENDED, "[via T-IfTrue > T-App]", "True"),
+    ("(if #f 0 (add1 #t))", Mode.EXTENDED, "[via T-IfFalse > T-App]", "True"),
     ("((lambda (y : Number) y) (if (add1 #t) 1 2))", Mode.PRIMARY,
-     "[via T-App > T-If > T-App]"),
+     "[via T-App > T-If > T-App]", "Boolean"),
 ])
-def test_error_trail_names_each_enclosing_rule(src, mode, trail):
+def test_error_trail_names_each_enclosing_rule(src, mode, trail, literal):
+    # `literal` is the type the rule set gives #t.
     with pytest.raises(TypeCheckError) as exc:
         check(src, mode)
     assert str(exc.value).endswith(
-        f"argument type Boolean is not a subtype of Number at (add1 #t) {trail}")
+        f"argument type {literal} is not a subtype of Number at (add1 #t) {trail}")
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,16 @@ def test_check_extended_accepts_counterexample(program, capsys):
     assert capsys.readouterr().out.startswith("Boolean ;")
 
 
+def test_check_extended_leaves_a_parity_test_undecided(program, capsys):
+    # eval prints #t: an extended rule that decided (even? 98) false
+    # would contradict the evaluator.
+    path = program("(even? 98)")
+    assert main(["check", "--extended", path]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "Boolean ; none"
+    assert main(["eval", path]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "#t"
+
+
 @pytest.mark.parametrize("command,annot,expected", [
     ("check", "(U Number (U True False) Number)",
      "(-> (U Number Boolean) (U Number Boolean)) ; tt"),

@@ -87,8 +87,8 @@ def test_generation_deterministic():
 # SHA-256 of the printed terms of 300 seeds per mode, one per line.  Any
 # change to the generator's random draws, or to their order, changes it.
 STREAM_SHA256 = {
-    False: "9997e175592bf1f98433e25c72b1fedebe5f13ba7bfde4f4e798b4da2fed5b33",
-    True: "4b2b582bb8272b3665e046b0750c9e95880cc4e22e6e2f549e3eb583758ea6c7",
+    False: "081744278b1517dd6de86acfdd0901e8e272c26f0f0967337b1d68b5aad01e97",
+    True: "f563f49e2d93b55ecf1ea20adec01c7190d09cef5084709178e7f0a9d3cd4f1f",
 }
 
 
@@ -252,25 +252,56 @@ def test_subject_reduction_erases_the_term_once(monkeypatch, delta, calls):
     assert len(erased) == calls
 
 
-# Terms that fail subject reduction in the extended mode the chains are
-# re-judged in.  The generator's vetting keeps their shapes out of fuzzing;
-# each test passes, and so fails as XPASS, once its gap is closed.
+# Each term fails subject reduction, in the extended mode the chains are
+# re-judged in, without the rule or narrowing named beside it.
+
+
+@pytest.mark.parametrize("src", [
+    # class A: T-AppPredFalse now fires on the compound operand of step 1
+    "((lambda (v1 : Top) (boolean? (if #t v1 #f))) 5)",
+    # class B: T-True types the #t substituted for v1 at True, as v1 was
+    "((lambda (v1 : Boolean) (if v1 v1 0)) #t)",
+    # T-AppPredFalse on an operand that is not a value
+    "((lambda (v3 : (U Number Boolean)) (procedure? (if (boolean? v3) v3 v3))) #t)",
+    # class C: restrict narrows the Number n to Bot under (p n), not to
+    # procedure?'s latent, which step 1 substitutes for p
+    "((lambda (p : (-> Top Boolean)) ((lambda (f : (-> Number Number)) #t) "
+    "(lambda (n : Number) (if (p n) n 0)))) procedure?)",
+    # the chain narrows f to Bot in a dead branch that the primary rules do
+    # not narrow; an operator of type Bot applies by subsumption
+    "((lambda (f : (-> Number Number)) (if (if #f #f (number? f)) (f 1) 0)) add1)",
+], ids=["class-A", "class-B", "compound-operand", "class-C", "bot-operator"])
+def test_closed_gap(src):
+    assert check_subject_reduction(parse_expr(src), 100, EMPTY) == []
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="class A: T-IfTrue passes the taken branch's variable "
-                   "predicate, which substitution removes")
-def test_gap_variable_predicate_through_decided_if():
-    e = parse_expr("((lambda (v1 : Top) (boolean? (if #t v1 #f))) 5)")
-    assert check_subject_reduction(e, 100, EMPTY) == []
+                   reason="class D: CHAIN_CONSTANT_TYPES drops the parity latents, so "
+                   "the chain keeps x : Number where the primary rules narrow it to Bot")
+def test_gap_parity_test_narrows_only_in_the_primary_rules():
+    # The paper's erasure argument meeting (even? 99): erasure turns
+    # (Refinement even?) into Number, and no rule over Number may decide
+    # (even? x).  The generator's Δ-gated pointwise check keeps it out.
+    e = parse_expr("(lambda (x : (Refinement even?)) "
+                   "((lambda (b : Boolean) #t) (if (even? x) #f x)))")
+    assert check_subject_reduction(e, 100, BOTH) == []
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="class B: narrowing by a Boolean variable test types v1 "
-                   "at True, its value #t at Boolean")
-def test_gap_narrowing_by_a_variable_test():
-    e = parse_expr("((lambda (v1 : Boolean) (if v1 v1 0)) #t)")
-    assert check_subject_reduction(e, 100, EMPTY) == []
+def test_base_generation_judges_in_the_primary_rules_only(monkeypatch):
+    # Only refinement mode's pointwise check consults the chain system.
+    modes = set()
+
+    def spy(delta, g, e, mode=Mode.PRIMARY, **kw):
+        modes.add(mode)
+        return typecheck(delta, g, e, mode, **kw)
+
+    monkeypatch.setattr(harness, "typecheck", spy)
+    for i in range(100):
+        gen_typed_term(random.Random(f"modes:{i}"), 6, EMPTY)
+    assert modes == {Mode.PRIMARY}
+    for i in range(100):
+        gen_typed_term(random.Random(f"modes:{i}"), 6, BOTH)
+    assert Mode.EXTENDED in modes
 
 
 # ---------------------------------------------------------------------------

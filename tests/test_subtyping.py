@@ -11,6 +11,7 @@ from otlc.subtyping import (
     CONSTANT_TYPES,
     REFINING,
     UndeclaredRefinement,
+    overlap,
     refinement_base,
     subtype,
 )
@@ -170,6 +171,51 @@ def test_undeclared_refinement_raises_however_decided(s, t):
     # union member that already fits), yet the refinement is undeclared.
     with pytest.raises(UndeclaredRefinement, match="even[?] is not declared"):
         subtype(EMPTY, s, t)
+
+
+# ---------------------------------------------------------------------------
+# overlap: can two types share a value?
+
+
+@pytest.mark.parametrize("s,t,expected", [
+    ("Top", "Top", True),
+    ("Top", "Number", True),
+    ("Top", "(-> Number Number)", True),
+    ("(U)", "Top", False),
+    ("(U)", "(U)", False),
+    ("Number", "(Refinement even?)", True),
+    ("(Refinement even?)", "(Refinement odd?)", True),
+    ("True", "False", False),
+    ("True", "Boolean", True),
+    ("False", "Boolean", True),
+    ("Boolean", "Number", False),
+    ("(Refinement even?)", "Boolean", False),
+    # (-> (U) Top) is the latent of procedure?
+    ("(-> Number Number)", "(-> (U) Top)", True),
+    ("(-> Top Boolean : Number)", "(-> (U) Top)", True),
+    ("Number", "(-> (U) Top)", False),
+    ("Boolean", "(-> (U) Top)", False),
+    ("(U Number True)", "(U False (-> Number Number))", False),
+    ("(U Number True)", "(U False Number)", True),
+    ("(U Top Number)", "False", True),
+])
+def test_overlap(s, t, expected):
+    s, t = parse_type(s), parse_type(t)
+    assert overlap(s, t) is expected
+    assert overlap(t, s) is expected
+
+
+OVERLAP_SAMPLES = [parse_type(s) for s in (
+    "Top", "Number", "True", "False", "Boolean", "(U)", "(Refinement even?)",
+    "(Refinement odd?)", "(U Number True)", "(U False (-> Number Number))",
+    "(-> Number Number)", "(-> Top Boolean : Number)", "(-> (U) Top)")]
+
+
+def test_a_type_with_a_value_overlaps_its_supertypes():
+    for s in OVERLAP_SAMPLES:
+        for t in OVERLAP_SAMPLES:
+            if s != BOT and subtype(PARITY, s, t):
+                assert overlap(s, t), (print_type(s), print_type(t))
 
 
 # ---------------------------------------------------------------------------
