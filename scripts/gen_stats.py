@@ -43,7 +43,7 @@ def stats(count: int, seeds: list[int], depth: int, fuel: int,
             e = gen_typed_term(random.Random(f"dist:{seed}:{i}"), depth,
                                delta, coverage=coverage)
             sizes.append(nodes(e))
-            steps.append(len(trace(e, fuel)) - 1)
+            steps.append(len(trace(e, fuel)[0]) - 1)
             text = print_expr(e)
             for c in refined:
                 refined[c] += f"(Refinement {c.value})" in text

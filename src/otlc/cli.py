@@ -95,17 +95,17 @@ def cmd_eval(args) -> int:
             return EXIT_OK
         case StuckAt(e, reason):
             raise _CliError(f"stuck: {reason} at {print_expr(e)}", EXIT_FAILURE)
-        case FuelExhausted(last, steps):
-            raise _CliError(f"fuel exhausted after {steps} steps at {print_expr(last)}",
+        case FuelExhausted(last):
+            raise _CliError(f"fuel exhausted after {args.fuel} steps at {print_expr(last)}",
                             EXIT_FAILURE)
     return EXIT_FAILURE
 
 
 def cmd_trace(args) -> int:
-    steps = trace(_runnable(args), args.fuel)
-    for i, term in enumerate(steps):
+    terms, outcome = trace(_runnable(args), args.fuel)
+    for i, term in enumerate(terms):
         print(f"{i}: {print_expr(term)}")
-    match evaluate(steps[-1], 0):
+    match outcome:
         case Value():
             return EXIT_OK
         case StuckAt(e, reason):

@@ -41,7 +41,7 @@ from .refine import (
     erase_type,
     erased_judgment_holds,
 )
-from .semantics import FuelExhausted, StuckAt, evaluate, trace
+from .semantics import FuelExhausted, StuckAt, Value, trace
 from .subtyping import CONSTANT_TYPES, REFINING, UndeclaredRefinement, subtype
 from .syntax import (
     BOOLEAN,
@@ -66,7 +66,6 @@ from .syntax import (
     Var,
     _rebuild,
     fold,
-    is_value,
     parse_expr,
     print_expr,
 )
@@ -376,7 +375,7 @@ def check_subject_reduction(e: Expr, fuel: int, delta: frozenset) -> list[FuzzFa
     def fail(kind: str, i: int, detail: str):
         failures.append(FuzzFailure(kind, print_expr(e), i, detail))
 
-    tr = trace(erase_expr(e), fuel)
+    tr, outcome = trace(erase_expr(e), fuel)
 
     judgments = []
     for i, term in enumerate(tr):
@@ -397,24 +396,22 @@ def check_subject_reduction(e: Expr, fuel: int, delta: frozenset) -> list[FuzzFa
             fail("preservation", i,
                  f"predicate not preserved from {print_expr(tr[i-1])} to {print_expr(tr[i])}")
 
-    last = tr[-1]
-    match evaluate(last, 0):
+    match outcome:
         case StuckAt(_, reason):
             fail("progress", len(tr) - 1, f"stuck: {reason}")
         case FuelExhausted():
             fail("fuel-exhausted", len(tr) - 1, f"no value after {fuel} steps")
-
-    if is_value(last) and _is_base(judgments[0].type):
-        if not subtype(frozenset(), judgments[-1].type, judgments[0].type):
-            fail("soundness", len(tr) - 1, "final value type exceeds the initial type")
-        if not is_subpred(judgments[-1].pred, judgments[0].pred):
-            fail("soundness", len(tr) - 1, "final value predicate exceeds the initial one")
+        case Value() if _is_base(judgments[0].type):
+            if not subtype(frozenset(), judgments[-1].type, judgments[0].type):
+                fail("soundness", len(tr) - 1, "final value type exceeds the initial type")
+            if not is_subpred(judgments[-1].pred, judgments[0].pred):
+                fail("soundness", len(tr) - 1, "final value predicate exceeds the initial one")
 
     if delta:
         if not erased_judgment_holds(delta, {}, e):
             fail("erased-typing", 0, "erased term does not carry the erased judgment")
         # The erased run must be the erased chain, term by term and no longer.
-        erased = [erase_expr(t) for t in trace(e, fuel)]
+        erased = [erase_expr(t) for t in trace(e, fuel)[0]]
         if tr != erased:
             i = next((i for i, (a, b) in enumerate(zip(tr, erased)) if a != b),
                      min(len(tr), len(erased)))

@@ -1,9 +1,12 @@
 """Call-by-value small-step semantics: constant application, single
 steps over evaluation contexts, bounded multi-step, and traces.
 
-`step` is the reference relation, on terms: `_split` finds the redex of a
-term and the evaluation-context frames around it, `_contract` applies the
-δ, β or `if` rule, substituting for β, and `_plug` rebuilds the term.
+A run ends at a `Value`, `StuckAt` a redex no rule contracts, or with
+`FuelExhausted`.  `step` is the reference relation, on terms: it answers
+`Stepped`, or the `Value` or `StuckAt` its term already is.  `_split`
+finds the redex of a term and the evaluation-context frames around it,
+`_contract` applies the δ, β or `if` rule, substituting for β, and
+`_plug` rebuilds the term.
 
 `evaluate` and `trace` run one environment machine, `_reduce`, derived
 from that relation by refocusing (Danvy & Nielsen 2004) and by closing
@@ -43,20 +46,6 @@ class Stepped:
 
 
 @dataclass(frozen=True)
-class AlreadyValue:
-    pass
-
-
-@dataclass(frozen=True)
-class Stuck:
-    reason: str
-    redex: Expr
-
-
-StepResult = Stepped | AlreadyValue | Stuck
-
-
-@dataclass(frozen=True)
 class Value:
     v: Expr
 
@@ -64,7 +53,6 @@ class Value:
 @dataclass(frozen=True)
 class FuelExhausted:
     last: Expr
-    steps: int
 
 
 @dataclass(frozen=True)
@@ -73,6 +61,7 @@ class StuckAt:
     reason: str
 
 
+StepResult = Stepped | Value | StuckAt
 EvalOutcome = Value | FuelExhausted | StuckAt
 
 
@@ -212,38 +201,37 @@ def _delta(f: Expr, v: Expr) -> Expr | str:
     return f"{f.c.value} is not defined on this operand" if out is None else out
 
 
-def _contract(redex: Expr) -> Expr | Stuck:
+def _contract(redex: Expr) -> Expr | str:
     """The δ, β and `if` rules: the contractum of `redex`, or why it has none."""
     match redex:
         case App(Abs(param, _, body), rand):
             return substitute(body, {param: rand})
         case App(rator, rand):
-            out = _delta(rator, rand)
-            return Stuck(out, redex) if isinstance(out, str) else out
+            return _delta(rator, rand)
         case If(test, then, els):
             return els if _is_false(test) else then
-    return Stuck("no reduction rule", redex)
+    return "no reduction rule"
 
 
-def _check_closed(e: Expr, who: str) -> None:
+def _check_closed(e: Expr) -> None:
     if free_vars(e):
-        raise ValueError(f"{who}: term is not closed")
+        raise ValueError("term is not closed")
 
 
 def step(e: Expr) -> StepResult:
-    """One step of the leftmost-innermost call-by-value reduction."""
-    _check_closed(e, "step")
+    """One step of the leftmost-innermost call-by-value reduction: the next
+    term, or the outcome `e` already is."""
+    _check_closed(e)
     if is_value(e):
-        return AlreadyValue()
+        return Value(e)
     frames: list = []
-    redex = _split(e, frames)
-    out = _contract(redex)
-    if isinstance(out, Stuck):
-        return out
+    out = _contract(_split(e, frames))
+    if isinstance(out, str):
+        return StuckAt(e, out)
     return Stepped(_plug(frames, out))
 
 
-def _reduce(e: Expr, fuel: int, who: str, record=None) -> EvalOutcome:
+def _reduce(e: Expr, fuel: int, record=None) -> EvalOutcome:
     """The environment machine behind `evaluate` and `trace`: reduce `e` for
     at most `fuel` steps, with the outcome of repeated `step` calls.
 
@@ -258,7 +246,7 @@ def _reduce(e: Expr, fuel: int, who: str, record=None) -> EvalOutcome:
     one walk of its body."""
     if fuel < 0:
         raise ValueError("fuel must be nonnegative")
-    _check_closed(e, who)
+    _check_closed(e)
     frames: list = []
     env = None
     steps = 0
@@ -287,16 +275,14 @@ def _reduce(e: Expr, fuel: int, who: str, record=None) -> EvalOutcome:
         if kind == _TEST:
             if steps == fuel:
                 redex = If(_read_back(v), _close(node.then, x), _close(node.els, x))
-                return FuelExhausted(_plug(frames, redex), fuel)
+                return FuelExhausted(_plug(frames, redex))
             e, env = (node.els if _is_false(v) else node.then), x
         else:  # `x` is the operator's value and `v` the operand's
             f = x[0] if x.__class__ is tuple else x
             out = None if f.__class__ is Abs else _delta(f, v[0] if v.__class__ is tuple else v)
             if out.__class__ is str or steps == fuel:
-                redex = App(_read_back(x), _read_back(v))
-                if out.__class__ is str:
-                    return StuckAt(_plug(frames, redex), out)
-                return FuelExhausted(_plug(frames, redex), fuel)
+                last = _plug(frames, App(_read_back(x), _read_back(v)))
+                return StuckAt(last, out) if out.__class__ is str else FuelExhausted(last)
             if out is not None:
                 e = out
             elif record is None:
@@ -311,12 +297,12 @@ def _reduce(e: Expr, fuel: int, who: str, record=None) -> EvalOutcome:
 def evaluate(e: Expr, fuel: int = DEFAULT_FUEL) -> EvalOutcome:
     """Reduce `e` for at most `fuel` steps, with the outcome of repeated
     `step` calls."""
-    return _reduce(e, fuel, "evaluate")
+    return _reduce(e, fuel)
 
 
-def trace(e: Expr, fuel: int = DEFAULT_FUEL) -> list[Expr]:
-    """Every term of the reduction sequence, first and last included: at
-    most `fuel` steps, stopping early at a value or a stuck term."""
-    out = [e]
-    _reduce(e, fuel, "trace", out.append)
-    return out
+def trace(e: Expr, fuel: int = DEFAULT_FUEL) -> tuple[list[Expr], EvalOutcome]:
+    """Every term of the reduction sequence, first and last included, and
+    how it ends: at most `fuel` steps, stopping early at a value or a stuck
+    term.  The outcome is `evaluate(e, fuel)`."""
+    terms = [e]
+    return terms, _reduce(e, fuel, terms.append)

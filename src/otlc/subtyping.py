@@ -65,13 +65,16 @@ def normalize(t: Type) -> Type:
 
 
 # The kinds of value each type but a union holds, a bit each: number, #t,
-# #f and procedure.  A (Refinement c) holds numbers, and Top every kind.
-_KINDS = {NumT: 1, Refine: 1, TrueT: 2, FalseT: 4, Arrow: 8, TopT: 15}
+# #f and procedure.  Top holds every kind, and a (Refinement c) those of its
+# base, a constant's argument type and so no refinement.
+_KINDS = {NumT: 1, TrueT: 2, FalseT: 4, Arrow: 8, TopT: 15}
 
 
 def _kinds(t: Type) -> int:
     kinds = 0
     for m in t.members if isinstance(t, UnionT) else (t,):
+        if m.__class__ is Refine:
+            m = refinement_base(m.pred)
         kinds |= _KINDS[m.__class__]
     return kinds
 

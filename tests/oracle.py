@@ -48,8 +48,8 @@ BOT = UnionT(())
 
 
 def o_kinds(t):
-    """The kinds of value t holds: numbers (a refinement holds numbers),
-    #t, #f and procedures."""
+    """The kinds of value t holds: numbers, #t, #f and procedures.  A
+    refinement holds those of its predicate's argument type."""
     match t:
         case TopT():
             return {"number", "#t", "#f", "procedure"}
@@ -57,7 +57,9 @@ def o_kinds(t):
             return set().union(*map(o_kinds, members))
         case Arrow():
             return {"procedure"}
-        case NumT() | Refine():
+        case Refine(c):
+            return o_kinds(CONSTANT_TYPES[c].arg)
+        case NumT():
             return {"number"}
         case TrueT():
             return {"#t"}

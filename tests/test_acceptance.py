@@ -74,10 +74,10 @@ def test_criterion_2_counterexample():
         check(src, Mode.PRIMARY)
     je = check(src, Mode.EXTENDED)
     assert print_type(je.type) == "Boolean"
-    steps = trace(parse_expr(src), 5)
+    steps, outcome = trace(parse_expr(src), 5)
     assert print_expr(steps[-1]) == "#t"
     assert len(steps) - 1 <= 5
-    assert evaluate(parse_expr(src), 5) == Value(parse_expr("#t"))
+    assert outcome == evaluate(parse_expr(src), 5) == Value(parse_expr("#t"))
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,15 @@ def test_impossible_type_test_narrows_to_bot():
     assert print_type(j.type) == "(-> Number Number)"
 
 
+def test_refinement_holds_the_kinds_of_its_base():
+    # boolean? refines Top, so x may be #t: the test narrows x to Boolean
+    # and both branches are live.
+    j = check("(lambda (x : (Refinement boolean?)) (if (boolean? x) x 0))",
+              delta=frozenset({Constant.BOOLEAN_P}))
+    assert f"{print_type(j.type)} ; {print_pred(j.pred)}" == \
+        "(-> (Refinement boolean?) (U Boolean Number)) ; tt"
+
+
 def test_var_judgment_names_the_variable():
     j = check("x", env={"x": T("Top")})
     assert j.type == T("Top")

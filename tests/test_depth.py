@@ -48,7 +48,7 @@ def test_deep_tower_erases(tower):
 
 def test_deep_tower_traces(tower):
     depth, _, e = tower
-    ts = trace(e, 2)
+    ts, _ = trace(e, 2)
     assert [print_expr(t) for t in ts[1:]] == [
         add1_tower(depth - 1, "2"), add1_tower(depth - 2, "3")]
 

@@ -165,7 +165,7 @@ def test_generated_terms_are_not_trivial(refinements, min_nodes, min_steps):
     for i in range(2000):
         e = gen_typed_term(random.Random(f"dist:{i}"), 6, delta)
         sizes.append(_nodes(e))
-        steps.append(len(trace(e, 1000)) - 1)
+        steps.append(len(trace(e, 1000)[0]) - 1)
     assert sum(sizes) / len(sizes) >= min_nodes
     assert sum(steps) / len(steps) >= min_steps
     assert sizes.count(1) / len(sizes) <= 0.37

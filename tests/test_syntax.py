@@ -35,6 +35,8 @@ from otlc.syntax import (
     substitute,
 )
 
+from test_subtyping import types
+
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -131,28 +133,19 @@ def test_print_expr_examples():
 # ---------------------------------------------------------------------------
 # Round-trip properties
 
-_type_strategy = st.deferred(lambda: st.one_of(
-    st.sampled_from([TOP, NUM, TRUE_T, FALSE_T, BOOLEAN]),
-    st.builds(Refine, st.sampled_from([Constant.EVEN_P, Constant.ODD_P])),
-    st.builds(lambda ms: UnionT(tuple(ms)),
-              st.lists(_type_strategy, max_size=3)),
-    st.builds(Arrow, _type_strategy, _type_strategy,
-              st.one_of(st.none(), _type_strategy)),
-))
-
 _expr_strategy = st.deferred(lambda: st.one_of(
     st.builds(Num, st.integers(-1000, 1000)),
     st.builds(Bool, st.booleans()),
     st.builds(Const, st.sampled_from(list(Constant))),
     st.builds(Var, st.sampled_from(["x", "y", "weird-name", "v1"])),
-    st.builds(Abs, st.sampled_from(["x", "y"]), _type_strategy, _expr_strategy),
+    st.builds(Abs, st.sampled_from(["x", "y"]), types, _expr_strategy),
     st.builds(App, _expr_strategy, _expr_strategy),
     st.builds(If, _expr_strategy, _expr_strategy, _expr_strategy),
 ))
 
 
 @settings(max_examples=150, deadline=None)
-@given(_type_strategy)
+@given(types)
 def test_type_roundtrip(t):
     assert parse_type(print_type(t)) == t
 
