@@ -45,7 +45,7 @@ from .syntax import (
     print_expr,
     print_type,
 )
-from .subtyping import CONSTANT_TYPES, overlap, subtype
+from .subtyping import constant_types, overlap, subtype, undeclared
 
 TypeEnv = dict  # identifier -> Type; treated as immutable
 
@@ -74,23 +74,23 @@ class TypeCheckError(Exception):
         return f"{self.rule}: {self.detail} at {print_expr(self.expr)} [via {via}]"
 
 
-def restrict(delta: frozenset, s: Type, t: Type) -> Type:
+def restrict(s: Type, t: Type) -> Type:
     """Narrow s to the portion that is a subtype of t: a part of s that is
     not becomes t, or Bot if it cannot overlap t."""
-    if subtype(delta, s, t):
+    if subtype(s, t):
         return s
     if isinstance(s, UnionT):
-        return UnionT(tuple(m if subtype(delta, m, t) else t if overlap(m, t) else BOT
+        return UnionT(tuple(m if subtype(m, t) else t if overlap(m, t) else BOT
                             for m in s.members))
     return t if overlap(s, t) else BOT
 
 
-def remove(delta: frozenset, s: Type, t: Type) -> Type:
+def remove(s: Type, t: Type) -> Type:
     """Narrow s to the portion that is not a subtype of t."""
-    if subtype(delta, s, t):
+    if subtype(s, t):
         return BOT
     if isinstance(s, UnionT):
-        return UnionT(tuple(BOT if subtype(delta, m, t) else m for m in s.members))
+        return UnionT(tuple(BOT if subtype(m, t) else m for m in s.members))
     return s
 
 
@@ -101,22 +101,22 @@ def _lookup(g: TypeEnv, x: str, e: Expr) -> Type:
         raise TypeCheckError("T-Var", e, f"unbound variable {x}") from None
 
 
-def env_plus(delta: frozenset, g: TypeEnv, p: Pred) -> TypeEnv:
+def env_plus(g: TypeEnv, p: Pred) -> TypeEnv:
     """Refine the environment for the then branch of a conditional."""
     match p:
         case TypeOfPred(t, x):
-            return {**g, x: restrict(delta, _lookup(g, x, Var(x)), t)}
+            return {**g, x: restrict(_lookup(g, x, Var(x)), t)}
         case VarPred(x):
-            return {**g, x: remove(delta, _lookup(g, x, Var(x)), FALSE_T)}
+            return {**g, x: remove(_lookup(g, x, Var(x)), FALSE_T)}
         case _:
             return g
 
 
-def env_minus(delta: frozenset, g: TypeEnv, p: Pred) -> TypeEnv:
+def env_minus(g: TypeEnv, p: Pred) -> TypeEnv:
     """Refine the environment for the else branch of a conditional."""
     match p:
         case TypeOfPred(t, x):
-            return {**g, x: remove(delta, _lookup(g, x, Var(x)), t)}
+            return {**g, x: remove(_lookup(g, x, Var(x)), t)}
         case VarPred(x):
             _lookup(g, x, Var(x))
             return {**g, x: FALSE_T}
@@ -160,16 +160,18 @@ def typecheck(
     e: Expr,
     mode: Mode = Mode.PRIMARY,
     coverage: dict[str, int] | None = None,
-    constants: dict[Constant, Arrow] = CONSTANT_TYPES,
+    constants: dict[Constant, Arrow] | None = None,
 ) -> Judgment:
     """Derive the type and visible predicate of `e` under `g`, with an
     explicit stack of premise frames, so a term of any depth checks.
 
-    `coverage`, when given, counts how often each typing rule fires.
-    `constants` gives the type of each constant: `CONSTANT_TYPES`, or one
-    of the erased tables of `otlc.refine`.
+    T-Abs rejects an annotation naming a refinement outside `delta`, the
+    declared refinement predicates.  `coverage`, when given, counts how
+    often each typing rule fires.  `constants` gives the type of each
+    constant; by default it is the table under `delta`, `constant_types`.
     """
     delta = frozenset(delta)
+    constants = constant_types(delta) if constants is None else constants
     extended = mode is Mode.EXTENDED
 
     def hit(rule: str):
@@ -194,6 +196,9 @@ def typecheck(
                 e = e.test
                 continue
             if cls is Abs:
+                if (c := undeclared(delta, e.annot)) is not None:
+                    raise TypeCheckError(
+                        "T-Abs", e, f"refinement predicate {c.value} is not declared")
                 frames.append(("T-Abs", e, g, ()))
                 e, g = e.body, {**g, e.param: e.annot}
                 continue
@@ -227,7 +232,7 @@ def typecheck(
                     if not isinstance(op_type, Arrow):
                         raise TypeCheckError(
                             "T-App", node, f"operator has non-function type {print_type(op_type)}")
-                    if not subtype(delta, j.type, op_type.arg):
+                    if not subtype(j.type, op_type.arg):
                         raise TypeCheckError(
                             "T-App", node,
                             f"argument type {print_type(j.type)} is not a subtype of "
@@ -241,7 +246,7 @@ def typecheck(
                     if latent is not None and isinstance(j.pred, VarPred):
                         rule, pred = "T-AppPred", TypeOfPred(latent, j.pred.var)
                     elif extended and latent is not None:
-                        if subtype(delta, j.type, latent):
+                        if subtype(j.type, latent):
                             rule, pred = "T-AppPredTrue", TT
                         elif not overlap(j.type, latent):
                             rule, pred = "T-AppPredFalse", FF
@@ -256,8 +261,8 @@ def typecheck(
                     # the narrowed environments only mention variables of
                     # `env`, so building them cannot fail
                     if len(js) < 3:
-                        e, g = ((node.then, env_plus(delta, env, j.pred)) if len(js) == 1
-                                else (node.els, env_minus(delta, env, js[0].pred)))
+                        e, g = ((node.then, env_plus(env, j.pred)) if len(js) == 1
+                                else (node.els, env_minus(env, js[0].pred)))
                         frames.append((rule, node, env, js))
                         break
                     hit("T-If")

@@ -1,15 +1,17 @@
 """Command line front end: check, eval, trace, and fuzz.
 
 A program's Δ, its refinement predicates, is what its file declares plus
-`--delta`, or every refining constant when that is empty.
+`--delta`, or every refining constant when that is empty.  Only a
+predicate, a constant whose result type is Boolean, may be declared.
 
 Exit codes: 0 success, 1 type or evaluation failure (an open program run
 `--unchecked` among them), 2 usage or parse error: bad flags (a negative
 `--fuel` among them), a file that cannot be read or is not UTF-8, a
-`--json` report that cannot be written, or input too deep for a recursive
-type walker: a type annotation nested about 1,000 levels deep, or a term
-whose type nests that deep passed to a function.  Other terms of any
-depth are accepted.
+`--json` report that cannot be written, a non-predicate declared as a
+refinement, or input too deep for a recursive type walker: a type
+annotation nested about 1,000 levels deep, or a term whose type nests that
+deep checked against an arrow type.  Other terms of any depth are
+accepted.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from pathlib import Path
 from .checker import Mode, TypeCheckError, typecheck
 from .harness import BUCKETS, FuzzConfig, run_fuzz
 from .semantics import DEFAULT_FUEL, FuelExhausted, StuckAt, Value, evaluate, trace
-from .subtyping import REFINING, UndeclaredRefinement
+from .subtyping import CONSTANT_TYPES, REFINING
 from .syntax import (
+    BOOLEAN,
     CONSTANT_BY_NAME,
     ParseError,
     free_vars,
@@ -59,13 +62,15 @@ def _load_program(path: str, delta_flag: str | None):
             if c is None:
                 raise _CliError(f"unknown constant in --delta: {name.strip()}", EXIT_USAGE)
             delta.add(c)
+    if bad := [c.value for c, t in CONSTANT_TYPES.items() if c in delta and t.res is not BOOLEAN]:
+        raise _CliError(f"not a predicate, so not a refinement: {', '.join(bad)}", EXIT_USAGE)
     return frozenset(delta or REFINING), expr
 
 
 def _judge(delta, expr, mode: Mode):
     try:
         return typecheck(delta, {}, expr, mode)
-    except (TypeCheckError, UndeclaredRefinement) as err:
+    except TypeCheckError as err:
         raise _CliError(f"type error: {err}", EXIT_FAILURE) from None
 
 

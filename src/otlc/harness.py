@@ -8,10 +8,10 @@ refinement predicates, which the generator draws from), that erasure
 commutes with reduction and preserves typability.
 
 Subject-reduction judgments are taken on the run of the refinement-erased
-term: refinement soundness is established by erasure, and the predicates
-of refinement tests on literals are not stable step-to-step in the
-unerased system.  Without refinements erasure is the identity, so this
-is the plain check.
+term, under the empty Δ, where the parity tests have no latent: refinement
+soundness is established by erasure, and the predicates of refinement
+tests on literals are not stable step-to-step in the unerased system.
+Without refinements erasure is the identity, so this is the plain check.
 
 The generator does not vet its terms: which predicates survive
 substitution is for the checker's extended rules to say.  Only `_Gen.cond`
@@ -34,15 +34,9 @@ from .checker import (
     is_subpred,
     typecheck,
 )
-from .refine import (
-    CHAIN_CONSTANT_TYPES,
-    erase_env,
-    erase_expr,
-    erase_type,
-    erased_judgment_holds,
-)
+from .refine import erase_env, erase_expr, erase_type, erased_judgment_holds
 from .semantics import FuelExhausted, StuckAt, Value, trace
-from .subtyping import CONSTANT_TYPES, REFINING, UndeclaredRefinement, subtype
+from .subtyping import CONSTANT_TYPES, REFINING, constant_types, subtype
 from .syntax import (
     BOOLEAN,
     FALSE_T,
@@ -176,12 +170,6 @@ class _Gen:
         self.counter += 1
         return f"v{self.counter}"
 
-    def fits(self, t, goal) -> bool:
-        try:
-            return subtype(self.delta, t, goal)
-        except UndeclaredRefinement:
-            return False
-
     def expr(self, env: dict, goal, depth: int) -> Expr:
         if depth <= 1:
             return self.leaf(env, goal)
@@ -198,7 +186,7 @@ class _Gen:
 
     def fitting(self, env: dict, goal) -> list[str]:
         """The variables of `env` whose types fit `goal`."""
-        return [x for x, t in env.items() if self.fits(t, goal)]
+        return [x for x, t in env.items() if subtype(t, goal)]
 
     def abstraction(self, env: dict, annot, goal, depth: int) -> Abs:
         """A λ over a fresh variable of type `annot`, its body fitting `goal`."""
@@ -237,8 +225,8 @@ class _Gen:
             case FalseT():
                 return Bool(False)
             case Arrow(arg, res, _):
-                for c in Constant:
-                    if self.fits(CONSTANT_TYPES[c], g) and self.rng.random() < 0.4:
+                for c, t in constant_types(self.delta).items():
+                    if subtype(t, g) and self.rng.random() < 0.4:
                         return Const(c)
                 return self.abstraction(env, arg, res, 1)
             case _:  # Refine
@@ -250,19 +238,18 @@ class _Gen:
     def cond(self, env: dict, goal, depth: int) -> Expr:
         test = self.make_test(env, depth)
         pred = typecheck(self.delta, env, test, Mode.PRIMARY).pred
-        env_then = env_plus(self.delta, env, pred)
-        env_else = env_minus(self.delta, env, pred)
+        env_then = env_plus(env, pred)
+        env_else = env_minus(env, pred)
         if self.delta:
             # The branches stay typeable in the chain system (erased,
-            # extended, `CHAIN_CONSTANT_TYPES`) only if it narrows each
-            # variable as far as the primary rules, pointwise.  It does not
-            # for a parity test, whose latent it drops: class D.
+            # extended, judged under the empty Δ, where even? has no latent)
+            # only if it narrows each variable as far as the primary rules,
+            # pointwise.  It does not for a parity test: class D.
             erased = erase_env(env)
-            chain = typecheck(frozenset(), erased, erase_expr(test), Mode.EXTENDED,
-                              constants=CHAIN_CONSTANT_TYPES).pred
-            for mine, theirs in ((env_then, env_plus(frozenset(), erased, chain)),
-                                 (env_else, env_minus(frozenset(), erased, chain))):
-                if not all(subtype(frozenset(), theirs[x], erase_type(mine[x])) for x in mine):
+            chain = typecheck(frozenset(), erased, erase_expr(test), Mode.EXTENDED).pred
+            for mine, theirs in ((env_then, env_plus(erased, chain)),
+                                 (env_else, env_minus(erased, chain))):
+                if not all(subtype(theirs[x], erase_type(mine[x])) for x in mine):
                     raise _GenFail
         then = self.expr(env_then, goal, depth - 1)
         els = self.expr(env_else, goal, depth - 1)
@@ -283,16 +270,16 @@ class _Gen:
 
     def app(self, env: dict, goal, depth: int) -> Expr:
         options = []
-        if self.fits(NUM, goal):
+        if subtype(NUM, goal):
             options.append("add1")
-        if self.fits(BOOLEAN, goal):
+        if subtype(BOOLEAN, goal):
             options.append("predicate")
         arrows = [x for x, t in env.items()
-                  if isinstance(t, Arrow) and self.fits(t.res, goal)]
+                  if isinstance(t, Arrow) and subtype(t.res, goal)]
         if arrows:
             options.append("call")
         options.append("beta")
-        if self.parity_tests and self.fits(NUM, goal):
+        if self.parity_tests and subtype(NUM, goal):
             options.append("parity-guard")
         match self.rng.choice(options):
             case "add1":
@@ -341,12 +328,12 @@ class _Gen:
 
 def gen_typed_term(rng: random.Random, max_depth: int, delta: frozenset, *,
                    coverage: dict[str, int] | None = None) -> Expr:
-    """A closed term that typechecks with the primary rules under `delta`.
-    The generator builds terms by the typing rules, so each is well typed
-    by construction; the primary judgment is taken once, here, and a
-    failing one raises (`TypeCheckError` or `UndeclaredRefinement`) as the
-    generator bug it is.  `coverage`, when given, counts the rules of that
-    judgment, as `typecheck` does."""
+    """A closed term that typechecks with the primary rules under `delta`,
+    its annotations naming only refinements of `delta`.  The generator
+    builds terms by the typing rules, so each is well typed by
+    construction; the primary judgment is taken once, here, and a failing
+    one raises `TypeCheckError`, as the generator bug it is.  `coverage`,
+    when given, counts the rules of that judgment, as `typecheck` does."""
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     delta = frozenset(delta)
@@ -380,16 +367,14 @@ def check_subject_reduction(e: Expr, fuel: int, delta: frozenset) -> list[FuzzFa
     judgments = []
     for i, term in enumerate(tr):
         try:
-            judgments.append(
-                typecheck(frozenset(), {}, term, Mode.EXTENDED,
-                          constants=CHAIN_CONSTANT_TYPES))
+            judgments.append(typecheck(frozenset(), {}, term, Mode.EXTENDED))
         except TypeCheckError as err:
             fail("preservation", i, f"intermediate term untypeable: {err}")
             return failures
 
     for i in range(1, len(judgments)):
         prev, cur = judgments[i - 1], judgments[i]
-        if not subtype(frozenset(), cur.type, prev.type):
+        if not subtype(cur.type, prev.type):
             fail("preservation", i,
                  f"type widened from {print_expr(tr[i-1])} to {print_expr(tr[i])}")
         if not is_subpred(cur.pred, prev.pred):
@@ -402,7 +387,7 @@ def check_subject_reduction(e: Expr, fuel: int, delta: frozenset) -> list[FuzzFa
         case FuelExhausted():
             fail("fuel-exhausted", len(tr) - 1, f"no value after {fuel} steps")
         case Value() if _is_base(judgments[0].type):
-            if not subtype(frozenset(), judgments[-1].type, judgments[0].type):
+            if not subtype(judgments[-1].type, judgments[0].type):
                 fail("soundness", len(tr) - 1, "final value type exceeds the initial type")
             if not is_subpred(judgments[-1].pred, judgments[0].pred):
                 fail("soundness", len(tr) - 1, "final value predicate exceeds the initial one")
@@ -467,7 +452,7 @@ def shrink_failure(e: Expr, delta: frozenset, still_fails, budget: int = 200) ->
                     continue
                 try:
                     typecheck(delta, {}, cand, Mode.PRIMARY)
-                except (TypeCheckError, UndeclaredRefinement):
+                except TypeCheckError:
                     continue
                 budget -= 1
                 if still_fails(cand):

@@ -1,5 +1,5 @@
-"""Refinement erasure: the erasure homomorphisms, the erased and chain
-constant tables, and the erased-judgment check.
+"""Refinement erasure: the erasure homomorphisms, the erased constant
+table, and the erased-judgment check.
 
 Erasure deletes every refinement constructor from types, annotations,
 predicates, and environments.  It reduces soundness of the refined
@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .checker import Judgment, Mode, TypeCheckError, TypeEnv, is_subpred, typecheck
-from .subtyping import CONSTANT_TYPES, REFINING, UndeclaredRefinement, refinement_base, subtype
+from .subtyping import CONSTANT_TYPES, refinement_base, subtype
 from .syntax import (
     Abs,
     Arrow,
@@ -43,18 +43,14 @@ def erase_type(t: Type) -> Type:
             return t
 
 
-# The erased judgment types each constant at the erasure of its type.
+# The erased judgment types each constant at the erasure of its type, so
+# it keeps the parity latents, erased to Number: it checks erasure
+# structurally.  Reduction chains are judged under the empty Δ instead,
+# where even? has no latent: erasing (Refinement even?) to Number leaves
+# even? claiming to be a test for Number, which the evaluator contradicts:
+# (even? 99) is #f.
 ERASED_CONSTANT_TYPES: dict[Constant, Arrow] = {
     c: erase_type(t) for c, t in CONSTANT_TYPES.items()}
-
-# Judgments taken along reduction chains also drop the latents of the
-# parity tests.  Erasing (Refinement even?) to Number leaves even?
-# claiming to be a test for Number, which the evaluator contradicts:
-# (even? 99) is #f.  The erased judgment keeps those latents, since it
-# checks erasure structurally.
-CHAIN_CONSTANT_TYPES: dict[Constant, Arrow] = {
-    c: Arrow(t.arg, t.res) if c in REFINING else t
-    for c, t in ERASED_CONSTANT_TYPES.items()}
 
 
 def _erase_node(e: Expr, kids: list) -> Expr:
@@ -100,7 +96,7 @@ def erased_judgment_holds(delta: frozenset, g: TypeEnv, e: Expr) -> bool:
     j = typecheck(frozenset(delta), g, e, Mode.PRIMARY)
     try:
         je = erased_judgment(g, e)
-    except (TypeCheckError, UndeclaredRefinement):
+    except TypeCheckError:
         return False
-    return (subtype(frozenset(), je.type, erase_type(j.type))
+    return (subtype(je.type, erase_type(j.type))
             and is_subpred(je.pred, erase_pred(j.pred)))

@@ -1,13 +1,14 @@
-"""The subtype relation and the constant type table.
+"""The subtype relation and the constant type tables.
 
-The subtype judgment is parameterized by the set of constants declared
-usable as refinement predicates: a query whose types mention a refinement
-whose predicate is undeclared raises `UndeclaredRefinement`, whatever its
-answer would be.  Types are hash-consed and built in normal form (see
-`otlc.syntax`), so the caches keyed on them hash and compare in O(1), and
-the relation needs no normalization step.  `CONSTANT_TYPES` is the table the
-checker types constants with by default; `REFINING` and the erased
-tables of `otlc.refine` are derived from it.
+Types are hash-consed and built in normal form (see `otlc.syntax`), so the
+caches keyed on them hash and compare in O(1), and the relation needs no
+normalization step.  The subtype relation takes no Δ, the set of constants
+declared usable as refinement predicates: Δ is a well-formedness condition
+on annotations, checked where a type is written (T-Abs, `undeclared`), and
+it chooses the constant table (`constant_types`), so a judgment under Δ
+meets no refinement outside it.  `CONSTANT_TYPES` is the table under every
+refining constant; `REFINING` and the erased table of `otlc.refine` are
+derived from it.
 """
 
 from __future__ import annotations
@@ -31,14 +32,6 @@ from .syntax import (
 )
 
 
-class UndeclaredRefinement(Exception):
-    """A refinement type was compared before its predicate was declared."""
-
-    def __init__(self, c: Constant):
-        super().__init__(f"refinement predicate {c.value} is not declared")
-        self.constant = c
-
-
 CONSTANT_TYPES: dict[Constant, Arrow] = {
     Constant.ADD1: Arrow(NUM, NUM),
     Constant.NOT: Arrow(TOP, BOOLEAN),
@@ -56,6 +49,26 @@ REFINING = tuple(c for c, t in CONSTANT_TYPES.items() if isinstance(t.latent, Re
 def refinement_base(c: Constant) -> Type:
     """The base type refined by predicate `c`: its own argument type."""
     return CONSTANT_TYPES[c].arg
+
+
+@lru_cache(maxsize=None)
+def constant_types(delta: frozenset[Constant]) -> dict[Constant, Arrow]:
+    """The constant table under Δ: a refining constant outside `delta` is a
+    plain predicate, typed without its latent.  Shared: do not mutate."""
+    return {c: Arrow(t.arg, t.res) if c in REFINING and c not in delta else t
+            for c, t in CONSTANT_TYPES.items()}
+
+
+@lru_cache(maxsize=None)
+def undeclared(delta: frozenset[Constant], t: Type | None) -> Constant | None:
+    """The leftmost refinement predicate in `t` outside `delta`, if any."""
+    if isinstance(t, Refine):
+        return None if t.pred in delta else t.pred
+    for u in (t.members if isinstance(t, UnionT)
+              else (t.arg, t.res, t.latent) if isinstance(t, Arrow) else ()):
+        if (c := undeclared(delta, u)) is not None:
+            return c
+    return None
 
 
 def normalize(t: Type) -> Type:
@@ -86,48 +99,20 @@ def overlap(s: Type, t: Type) -> bool:
     return bool(_kinds(s) & _kinds(t))
 
 
-def subtype(delta: frozenset[Constant] | set[Constant], s: Type, t: Type) -> bool:
-    """Decide s <= t under the declared refinement predicates `delta`.
-    Raises UndeclaredRefinement if s or t mentions a refinement outside it."""
-    return _subtype(frozenset(delta), s, t)
-
-
 @lru_cache(maxsize=None)
-def _subtype(delta: frozenset[Constant], s: Type, t: Type) -> bool:
-    # One cache lookup per call.  _sub may decide without meeting a refinement
-    # (s == t, a union member that fits), so _declared checks them all: after
-    # _sub, so that a query _sub rejects names the predicate _sub names.
-    result = _sub(delta, s, t)
-    _declared(delta, s)
-    _declared(delta, t)
-    return result
-
-
-@lru_cache(maxsize=None)
-def _declared(delta: frozenset[Constant], t: Type | None) -> None:
-    """Raise UndeclaredRefinement at the leftmost undeclared refinement in t."""
-    if isinstance(t, Refine) and t.pred not in delta:
-        raise UndeclaredRefinement(t.pred)
-    for u in (t.members if isinstance(t, UnionT)
-              else (t.arg, t.res, t.latent) if isinstance(t, Arrow) else ()):
-        _declared(delta, u)
-
-
-@lru_cache(maxsize=None)
-def _sub(delta: frozenset[Constant], s: Type, t: Type) -> bool:
+def subtype(s: Type, t: Type) -> bool:
+    """Decide s <= t."""
     if s == t:
         return True
     if isinstance(t, TopT):
         return True
     if isinstance(s, UnionT):
-        return all(_sub(delta, m, t) for m in s.members)
+        return all(subtype(m, t) for m in s.members)
     if isinstance(t, UnionT):
-        return any(_sub(delta, s, m) for m in t.members)
+        return any(subtype(s, m) for m in t.members)
     if isinstance(s, Arrow) and isinstance(t, Arrow):
         latent_ok = t.latent is None or s.latent == t.latent
-        return latent_ok and _sub(delta, t.arg, s.arg) and _sub(delta, s.res, t.res)
+        return latent_ok and subtype(t.arg, s.arg) and subtype(s.res, t.res)
     if isinstance(s, Refine):
-        if s.pred not in delta:
-            raise UndeclaredRefinement(s.pred)
-        return _sub(delta, refinement_base(s.pred), t)
+        return subtype(refinement_base(s.pred), t)
     return False

@@ -6,7 +6,10 @@ metafunctions (overlap, restrict, remove, environment updates, predicate
 combination) are re-implemented here from scratch so that a bug in the
 checker's copies cannot hide; only the subtype relation and the type
 constructors, which build every type in normal form, are shared, since the
-typing rules take them as given.
+typing rules take them as given.  The rule for the declared refinement
+predicates Δ is re-implemented too: a refining constant outside Δ has no
+latent, and a λ whose annotation names a predicate outside Δ has no
+derivation.
 """
 
 from __future__ import annotations
@@ -71,36 +74,55 @@ def o_overlap(s, t):
     return bool(o_kinds(s) & o_kinds(t))
 
 
-def o_restrict(delta, s, t):
-    if subtype(delta, s, t):
+def o_preds(t):
+    """The refinement predicates t names."""
+    match t:
+        case Refine(c):
+            return {c}
+        case UnionT(members):
+            return set().union(*map(o_preds, members))
+        case Arrow(arg, res, latent):
+            return o_preds(arg) | o_preds(res) | (set() if latent is None else o_preds(latent))
+    return set()
+
+
+def o_constant_type(delta, c):
+    t = CONSTANT_TYPES[c]
+    if isinstance(t.latent, Refine) and t.latent.pred not in delta:
+        return Arrow(t.arg, t.res)
+    return t
+
+
+def o_restrict(s, t):
+    if subtype(s, t):
         return s
     if isinstance(s, UnionT):
-        return UnionT(tuple(o_restrict(delta, m, t) for m in s.members))
+        return UnionT(tuple(o_restrict(m, t) for m in s.members))
     return t if o_overlap(s, t) else BOT
 
 
-def o_remove(delta, s, t):
-    if subtype(delta, s, t):
+def o_remove(s, t):
+    if subtype(s, t):
         return BOT
     if isinstance(s, UnionT):
-        return UnionT(tuple(o_remove(delta, m, t) for m in s.members))
+        return UnionT(tuple(o_remove(m, t) for m in s.members))
     return s
 
 
-def o_env_plus(delta, g, p):
+def o_env_plus(g, p):
     match p:
         case TypeOfPred(t, x):
-            return {**g, x: o_restrict(delta, g[x], t)}
+            return {**g, x: o_restrict(g[x], t)}
         case VarPred(x):
-            return {**g, x: o_remove(delta, g[x], FALSE_T)}
+            return {**g, x: o_remove(g[x], FALSE_T)}
         case _:
             return dict(g)
 
 
-def o_env_minus(delta, g, p):
+def o_env_minus(g, p):
     match p:
         case TypeOfPred(t, x):
-            return {**g, x: o_remove(delta, g[x], t)}
+            return {**g, x: o_remove(g[x], t)}
         case VarPred(x):
             return {**g, x: FALSE_T}
         case _:
@@ -144,13 +166,13 @@ def derive(delta, g: dict, e: Expr, mode: Mode) -> frozenset:
         case Num(_):
             out.add((NUM, TT))
         case Const(c):
-            out.add((CONSTANT_TYPES[c], TT))
+            out.add((o_constant_type(delta, c), TT))
         case Bool(v):
             if mode is Mode.EXTENDED:
                 out.add((TRUE_T if v else FALSE_T, TT if v else FF))
             else:
                 out.add((BOOLEAN, TT if v else FF))
-        case Abs(x, sigma, body):
+        case Abs(x, sigma, body) if o_preds(sigma) <= delta:
             for (tb, pb) in derive(delta, {**g, x: sigma}, body, mode):
                 out.add((Arrow(sigma, tb, None), TT))
                 if isinstance(pb, TypeOfPred) and pb.var == x:
@@ -162,7 +184,7 @@ def derive(delta, g: dict, e: Expr, mode: Mode) -> frozenset:
                 if not isinstance(arrow, Arrow):
                     continue
                 for (t2, p2) in derive(delta, g, e2, mode):
-                    if not subtype(delta, t2, arrow.arg):
+                    if not subtype(t2, arrow.arg):
                         continue
                     res = arrow.res
                     out.add((res, NONE_PRED))
@@ -170,7 +192,7 @@ def derive(delta, g: dict, e: Expr, mode: Mode) -> frozenset:
                         if isinstance(p2, VarPred):
                             out.add((res, TypeOfPred(arrow.latent, p2.var)))
                         if mode is Mode.EXTENDED:
-                            if subtype(delta, t2, arrow.latent):
+                            if subtype(t2, arrow.latent):
                                 out.add((res, TT))
                             elif not o_overlap(t2, arrow.latent):
                                 out.add((res, FF))
@@ -180,8 +202,8 @@ def derive(delta, g: dict, e: Expr, mode: Mode) -> frozenset:
                     out |= derive(delta, g, e2, mode)
                 if mode is Mode.EXTENDED and p1 == FF:
                     out |= derive(delta, g, e3, mode)
-                then_env = o_env_plus(delta, g, p1)
-                else_env = o_env_minus(delta, g, p1)
+                then_env = o_env_plus(g, p1)
+                else_env = o_env_minus(g, p1)
                 for (t2, p2) in derive(delta, then_env, e2, mode):
                     for (t3, p3) in derive(delta, else_env, e3, mode):
                         out.add((UnionT((t2, t3)),

@@ -49,6 +49,10 @@ def check(src, mode=Mode.PRIMARY, env=None, delta=EMPTY):
     return typecheck(delta, env or {}, parse_expr(src), mode)
 
 
+def show(j):
+    return f"{print_type(j.type)} ; {print_pred(j.pred)}"
+
+
 # ---------------------------------------------------------------------------
 # restrict / remove
 
@@ -64,11 +68,11 @@ def check(src, mode=Mode.PRIMARY, env=None, delta=EMPTY):
     ("(U Number True)", "Boolean", "True"),
 ])
 def test_restrict(s, t, expected):
-    assert restrict(EMPTY, T(s), T(t)) == T(expected)
+    assert restrict(T(s), T(t)) == T(expected)
 
 
 def test_restrict_refinement():
-    assert restrict(EVEN, T("Number"), T("(Refinement even?)")) == \
+    assert restrict(T("Number"), T("(Refinement even?)")) == \
         T("(Refinement even?)")
 
 
@@ -79,19 +83,19 @@ def test_restrict_refinement():
     ("Top", "Number", "Top"),
 ])
 def test_remove(s, t, expected):
-    assert remove(EMPTY, T(s), T(t)) == T(expected)
+    assert remove(T(s), T(t)) == T(expected)
 
 
 def test_remove_refinement_does_not_narrow():
     # A refinement test must leave the else branch at the base type: a
     # Number that fails the even? test is still a Number.
-    assert remove(EVEN, T("Number"), T("(Refinement even?)")) == T("Number")
+    assert remove(T("Number"), T("(Refinement even?)")) == T("Number")
 
 
 def test_restrict_remove_partition_unions():
     u = T("(U Number True False (-> Number Number))")
-    assert restrict(EMPTY, u, T("Boolean")) == T("Boolean")
-    assert remove(EMPTY, u, T("Boolean")) == \
+    assert restrict(u, T("Boolean")) == T("Boolean")
+    assert remove(u, T("Boolean")) == \
         T("(U Number (-> Number Number))")
 
 
@@ -101,36 +105,36 @@ def test_restrict_remove_partition_unions():
 
 def test_env_plus_typeof():
     g = {"x": T("(U Number Boolean)")}
-    assert env_plus(EMPTY, g, P("Number @ x")) == {"x": T("Number")}
+    assert env_plus(g, P("Number @ x")) == {"x": T("Number")}
 
 
 def test_env_minus_typeof():
     g = {"x": T("(U Number Boolean)")}
-    assert env_minus(EMPTY, g, P("Number @ x")) == {"x": T("Boolean")}
+    assert env_minus(g, P("Number @ x")) == {"x": T("Boolean")}
 
 
 def test_env_plus_varp_removes_false():
     g = {"x": T("Top")}
-    assert env_plus(EMPTY, g, VarPred("x")) == {"x": T("Top")}
+    assert env_plus(g, VarPred("x")) == {"x": T("Top")}
     g2 = {"x": T("Boolean")}
-    assert env_plus(EMPTY, g2, VarPred("x")) == {"x": T("True")}
+    assert env_plus(g2, VarPred("x")) == {"x": T("True")}
 
 
 def test_env_minus_varp_sets_false():
-    assert env_minus(EMPTY, {"x": T("Top")}, VarPred("x")) == {"x": T("False")}
+    assert env_minus({"x": T("Top")}, VarPred("x")) == {"x": T("False")}
 
 
 @pytest.mark.parametrize("p", [TT, FF, NONE_PRED])
 def test_env_ops_identity_on_tt_ff_none(p):
     g = {"x": T("Top"), "y": T("Number")}
-    assert env_plus(EMPTY, g, p) == g
-    assert env_minus(EMPTY, g, p) == g
+    assert env_plus(g, p) == g
+    assert env_minus(g, p) == g
 
 
 def test_env_ops_do_not_mutate():
     g = {"x": T("(U Number Boolean)")}
-    env_plus(EMPTY, g, P("Number @ x"))
-    env_minus(EMPTY, g, P("Number @ x"))
+    env_plus(g, P("Number @ x"))
+    env_minus(g, P("Number @ x"))
     assert g == {"x": T("(U Number Boolean)")}
 
 
@@ -251,8 +255,46 @@ def test_refinement_holds_the_kinds_of_its_base():
     # and both branches are live.
     j = check("(lambda (x : (Refinement boolean?)) (if (boolean? x) x 0))",
               delta=frozenset({Constant.BOOLEAN_P}))
-    assert f"{print_type(j.type)} ; {print_pred(j.pred)}" == \
-        "(-> (Refinement boolean?) (U Boolean Number)) ; tt"
+    assert show(j) == "(-> (Refinement boolean?) (U Boolean Number)) ; tt"
+
+
+# ---------------------------------------------------------------------------
+# Δ: an annotation names only declared refinements, and a refining constant
+# outside Δ is a plain predicate
+
+
+ODD = frozenset({Constant.ODD_P})
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("delta", [EMPTY, ODD], ids=["empty", "odd"])
+@pytest.mark.parametrize("annot", ["(Refinement even?)", "(U Top (Refinement even?))",
+                                   "(-> (Refinement even?) Number)"])
+def test_annotation_outside_delta_is_rejected_at_t_abs(annot, delta, mode):
+    # The parameter is never used: the annotation is checked where it is written.
+    src = f"(lambda (x : {annot}) 1)"
+    with pytest.raises(TypeCheckError) as exc:
+        check(src, mode, delta=delta)
+    assert str(exc.value) == \
+        f"T-Abs: refinement predicate even? is not declared at {src} [via T-Abs]"
+
+
+@pytest.mark.parametrize("delta,expected", [
+    (ODD, "(-> Number Boolean) ; tt"),
+    (EVEN, "(-> Number Boolean : (Refinement even?)) ; tt"),
+], ids=["odd", "even"])
+def test_parity_test_has_its_latent_only_in_delta(delta, expected):
+    assert show(check("(lambda (n : Number) (even? n))", delta=delta)) == expected
+
+
+def test_parity_test_outside_delta_does_not_narrow():
+    j = check("(lambda (n : Number) (if (even? n) 1 0))", delta=ODD)
+    assert show(j) == "(-> Number Number) ; tt"
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_parity_test_outside_delta_on_a_literal(mode):
+    assert show(check("(even? 4)", mode, delta=ODD)) == "Boolean ; none"
 
 
 def test_var_judgment_names_the_variable():
@@ -421,7 +463,7 @@ def test_mode_monotonicity(src):
     env = {"x": T("Top")}
     jp = typecheck(EMPTY, env, parse_expr(src), Mode.PRIMARY)
     je = typecheck(EMPTY, env, parse_expr(src), Mode.EXTENDED)
-    assert subtype(EMPTY, je.type, jp.type)
+    assert subtype(je.type, jp.type)
     assert is_subpred(je.pred, jp.pred)
 
 

@@ -2,13 +2,16 @@
 depth-2 term over a fixed atom set, plus seeded random terms of depth at
 most 4) under Γ = {x: Top, y: (U Number Boolean)}, the checker accepts
 exactly the terms with a nonempty derivation set, and its judgment is a
-member of that set."""
+member of that set.  Random terms over the parity tests and refinement
+annotations are compared too, under each Δ."""
 
 import random
+import re
 
 import pytest
 
 from otlc.checker import Mode, TypeCheckError, typecheck
+from otlc.subtyping import REFINING
 from otlc.syntax import (
     Abs,
     App,
@@ -54,41 +57,43 @@ def depth2_terms():
                 yield Abs(x, t, b)
 
 
-def random_term(rng, depth):
+def random_term(rng, depth, atoms=ATOMS, annots=ANNOTS):
     if depth <= 1 or rng.random() < 0.3:
-        return rng.choice(ATOMS)
+        return rng.choice(atoms)
     match rng.randrange(3):
         case 0:
-            return App(random_term(rng, depth - 1),
-                       random_term(rng, depth - 1))
+            return App(random_term(rng, depth - 1, atoms, annots),
+                       random_term(rng, depth - 1, atoms, annots))
         case 1:
-            return If(random_term(rng, depth - 1),
-                      random_term(rng, depth - 1),
-                      random_term(rng, depth - 1))
+            return If(random_term(rng, depth - 1, atoms, annots),
+                      random_term(rng, depth - 1, atoms, annots),
+                      random_term(rng, depth - 1, atoms, annots))
         case _:
-            return Abs(rng.choice(("x", "y")), rng.choice(ANNOTS),
-                       random_term(rng, depth - 1))
+            return Abs(rng.choice(("x", "y")), rng.choice(annots),
+                       random_term(rng, depth - 1, atoms, annots))
 
 
-def random_terms(count=1500, seed=0):
+def random_terms(count=1500, seed=0, atoms=ATOMS, annots=ANNOTS):
     rng = random.Random(seed)
     for _ in range(count):
-        yield random_term(rng, 4)
+        yield random_term(rng, 4, atoms, annots)
 
 
-def agree(e, mode):
-    judgments = derive(DELTA, GAMMA, e, mode)
+def agree(e, mode, delta=DELTA, gamma=GAMMA):
+    """Whether the checker types `e`, having asserted that the oracle agrees."""
+    judgments = derive(delta, gamma, e, mode)
     try:
-        j = typecheck(DELTA, dict(GAMMA), e, mode)
+        j = typecheck(delta, dict(gamma), e, mode)
     except TypeCheckError:
         assert not judgments, (
             f"oracle derives {judgments} for rejected term {print_expr(e)}")
-        return
+        return False
     assert judgments, f"checker accepts underivable term {print_expr(e)}"
     got = (j.type, j.pred)
     assert got in judgments, (
         f"checker judgment {got} for {print_expr(e)} not among oracle "
         f"judgments {judgments}")
+    return True
 
 
 @pytest.mark.parametrize("mode", [Mode.PRIMARY, Mode.EXTENDED])
@@ -101,3 +106,22 @@ def test_oracle_equivalence_exhaustive_depth2(mode):
 def test_oracle_equivalence_random_depth4(mode):
     for e in random_terms():
         agree(e, mode)
+
+
+PARITY_GAMMA = {**GAMMA, "n": parse_type("Number")}
+PARITY_ATOMS = ATOMS + [Var("n"), Const(Constant.EVEN_P), Const(Constant.ODD_P)]
+PARITY_ANNOTS = ANNOTS + [parse_type(s) for s in
+                          ("(Refinement even?)", "(Refinement odd?)",
+                           "(-> (Refinement even?) Number)")]
+
+
+@pytest.mark.parametrize("mode", [Mode.PRIMARY, Mode.EXTENDED])
+@pytest.mark.parametrize("delta", [frozenset(), frozenset({Constant.EVEN_P}),
+                                   frozenset(REFINING)], ids=["empty", "even", "both"])
+def test_oracle_equivalence_parity(delta, mode):
+    # Typed terms that mention a parity test or a refinement: 116 to 320 of
+    # the 1,500, by Δ and mode.
+    parity = sum(bool(re.search(r"Refinement|even\?|odd\?", print_expr(e)))
+                 for e in random_terms(atoms=PARITY_ATOMS, annots=PARITY_ANNOTS)
+                 if agree(e, mode, delta, PARITY_GAMMA))
+    assert parity > 100

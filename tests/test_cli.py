@@ -111,14 +111,28 @@ def test_check_declare_directive(program, capsys):
 @pytest.mark.parametrize("operand", ["(lambda (m : (Refinement even?)) 7)",
                                      "(lambda (m : Number) 7)"])
 def test_check_undeclared_refinement_exit_1(program, capsys, operand):
-    # even? is undeclared: the verdict must not depend on whether the
-    # operand's type is the parameter's type itself.
+    # even? is undeclared: the annotation is rejected where it is written,
+    # whether or not the operand's type is the parameter's type itself.
     path = program("(declare-refinement odd?)\n"
                    f"((lambda (f : (-> (Refinement even?) Number)) 1) {operand})")
     assert main(["check", path]) == EXIT_FAILURE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.strip() == "type error: refinement predicate even? is not declared"
+    assert captured.err.strip() == (
+        "type error: T-Abs: refinement predicate even? is not declared at "
+        "(lambda (f : (-> (Refinement even?) Number)) 1) [via T-App > T-Abs]")
+
+
+@pytest.mark.parametrize("how", ["directive", "flag"])
+def test_check_non_predicate_refinement_exit_2(program, capsys, how):
+    # add1 answers a Number, not a Boolean: no value passes or fails it.
+    src = "(lambda (x : (Refinement add1)) (add1 x))"
+    argv = (["check", program(f"(declare-refinement add1)\n{src}")] if how == "directive"
+            else ["check", "--delta", "add1", program(src)])
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "not a predicate, so not a refinement: add1"
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +320,15 @@ def test_deep_lambda_tower_checks(program, capsys):
                    + ")" * depth)
     assert main(["check", path]) == EXIT_OK
     assert capsys.readouterr() == ("(-> Number " * depth + "Number" + ")" * depth + " ; tt\n", "")
+
+
+def test_deep_lambda_tower_passed_to_top_checks(program, capsys):
+    depth = 1000
+    path = program("((lambda (f : Top) 0) "
+                   + "".join(f"(lambda (x{i} : Number) " for i in range(depth)) + "x0"
+                   + ")" * depth + ")")
+    assert main(["check", path]) == EXIT_OK
+    assert capsys.readouterr() == ("Number ; none\n", "")
 
 
 def test_fuzz_too_deep_is_a_clean_usage_error(capsys):

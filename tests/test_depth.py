@@ -127,6 +127,14 @@ def test_deep_lambda_tower_judgment():
     assert t is NUM
 
 
+def test_deep_lambda_tower_passed_to_top():
+    # The operand's arrow type, nested as deep as the tower, is below Top at
+    # once, and only the annotation Top is checked against Δ.
+    e = parse_expr(f"((lambda (f : Top) 0) {lambda_tower(1000, 'x0')})")
+    j = typecheck(EMPTY, {}, e)
+    assert (print_type(j.type), print_pred(j.pred)) == ("Number", "none")
+
+
 def test_deep_lambda_tower_error_trail():
     depth = 10**4
     with pytest.raises(TypeCheckError) as info:

@@ -276,8 +276,8 @@ def test_closed_gap(src):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="class D: CHAIN_CONSTANT_TYPES drops the parity latents, so "
-                   "the chain keeps x : Number where the primary rules narrow it to Bot")
+                   reason="class D: the chain is judged under the empty Δ, where even? has "
+                   "no latent, so it keeps x : Number where the primary rules narrow it to Bot")
 def test_gap_parity_test_narrows_only_in_the_primary_rules():
     # The paper's erasure argument meeting (even? 99): erasure turns
     # (Refinement even?) into Number, and no rule over Number may decide

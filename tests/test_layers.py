@@ -2,8 +2,8 @@
 package imports only from the layers below it, no module normalizes
 types, which are built in normal form, no function but a type walker
 calls itself, and refinement mode has one spelling: the refining
-constants are written out only in `subtyping`, and Δ is the harness's
-only refinement switch."""
+constants are written out only in `subtyping`, Δ is the harness's
+only refinement switch, and no relation on types takes Δ."""
 
 import ast
 from pathlib import Path
@@ -80,7 +80,7 @@ def test_no_module_normalizes_types(module):
 # members of a normal union, which has no union members, needs no recursion.
 RECURSIVE_BY_DESIGN = {
     "read_type", "erase_type",
-    "_declared", "_sub",
+    "undeclared", "subtype",
 }
 
 
@@ -159,3 +159,16 @@ def test_harness_has_no_refinement_flag():
               for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
               if a.arg == "with_refinements"]
     assert params == []
+
+
+# Δ is checked where a type is written and chooses the constant table; the
+# relations on types and the narrowings built on them do not take it.
+DELTA_FREE = {"subtype", "overlap", "restrict", "remove", "env_plus", "env_minus"}
+
+
+def test_relations_take_no_delta():
+    params = {fn.name: [a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
+              for m in ("subtyping", "checker") for fn in ast.walk(_tree(m))
+              if isinstance(fn, ast.FunctionDef) and fn.name in DELTA_FREE}
+    assert set(params) == DELTA_FREE
+    assert [name for name, args in params.items() if "delta" in args] == []

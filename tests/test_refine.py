@@ -10,7 +10,6 @@ import pytest
 from otlc.checker import Mode, TypeCheckError, typecheck
 from otlc.harness import gen_typed_term
 from otlc.refine import (
-    CHAIN_CONSTANT_TYPES,
     ERASED_CONSTANT_TYPES,
     erase_env,
     erase_expr,
@@ -20,7 +19,7 @@ from otlc.refine import (
     erased_judgment_holds,
 )
 from otlc.semantics import Stepped, Value, evaluate, step
-from otlc.subtyping import REFINING
+from otlc.subtyping import REFINING, constant_types
 from otlc.syntax import (
     Bool,
     Constant,
@@ -112,8 +111,8 @@ def _verdict(delta, e, mode):
 @pytest.mark.parametrize("mode", list(Mode))
 def test_delta_is_moot_without_refinements(mode):
     # `otlc` gives a file that declares nothing Δ = {even?, odd?}.  Δ only
-    # matters to a subtype query that meets a refinement type, which a
-    # term with no refinement annotation and no parity test cannot make.
+    # matters to an annotation that names a refinement and to the latent of
+    # a parity test, and such a term has neither.
     programs = [parse_program(p.read_text(encoding="utf-8"))
                 for p in sorted((Path(__file__).parent / "corpus").glob("*.lts"))]
     terms = [e for decls, e in programs if not decls]
@@ -164,7 +163,7 @@ def test_erased_judgment_uses_erased_constant_types():
 
 
 # ---------------------------------------------------------------------------
-# the erased and chain constant tables
+# the erased constant table, and the empty Δ's table that chains are judged with
 
 
 def _extended(constants, src, env=None):
@@ -178,13 +177,13 @@ def test_erased_latent_of_even_is_inexact_on_values():
     # extended rules decide (even? 99) true; the evaluator says #f.
     assert evaluate(parse_expr("(even? 99)"), 10) == Value(Bool(False))
     assert _extended(ERASED_CONSTANT_TYPES, "(even? 99)") == "Boolean ; tt"
-    assert _extended(CHAIN_CONSTANT_TYPES, "(even? 99)") == "Boolean ; none"
+    assert _extended(constant_types(frozenset()), "(even? 99)") == "Boolean ; none"
 
 
 def test_chain_table_gives_parity_tests_no_variable_predicate():
     env = {"n": parse_type("Number")}
     assert _extended(ERASED_CONSTANT_TYPES, "(even? n)", env) == "Boolean ; Number @ n"
-    assert _extended(CHAIN_CONSTANT_TYPES, "(even? n)", env) == "Boolean ; none"
+    assert _extended(constant_types(frozenset()), "(even? n)", env) == "Boolean ; none"
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from otlc.subtyping import (
     CONSTANT_TYPES,
     REFINING,
-    UndeclaredRefinement,
+    constant_types,
     overlap,
     refinement_base,
     subtype,
@@ -31,8 +31,6 @@ from otlc.syntax import (
     print_type,
 )
 
-EMPTY = frozenset()
-PARITY = frozenset({Constant.EVEN_P, Constant.ODD_P})
 R_EVEN = Refine(Constant.EVEN_P)
 R_ODD = Refine(Constant.ODD_P)
 
@@ -64,6 +62,15 @@ def test_refining_constants_are_the_parity_tests_in_table_order():
 def test_refinement_base_is_the_constant_domain():
     assert refinement_base(Constant.EVEN_P) == NUM
     assert refinement_base(Constant.ODD_P) == NUM
+
+
+def test_constant_types_under_delta():
+    # Under every refining constant the table is the table itself; outside
+    # Δ a refining constant is a plain predicate, and the rest stay as they are.
+    assert constant_types(frozenset(REFINING)) == CONSTANT_TYPES
+    table = constant_types(frozenset({Constant.ODD_P}))
+    assert table[Constant.EVEN_P] is Arrow(NUM, BOOLEAN)
+    assert all(table[c] is CONSTANT_TYPES[c] for c in CONSTANT_TYPES if c != Constant.EVEN_P)
 
 
 # ---------------------------------------------------------------------------
@@ -101,40 +108,40 @@ def test_type_equal_up_to_normalization():
 
 def test_top_is_maximal():
     for t in (NUM, BOOLEAN, TRUE_T, Arrow(NUM, NUM, None), R_EVEN, BOT):
-        assert subtype(PARITY, t, TOP)
-    assert not subtype(EMPTY, TOP, NUM)
+        assert subtype(t, TOP)
+    assert not subtype(TOP, NUM)
 
 
 def test_bot_is_minimal():
     for t in (NUM, BOOLEAN, TOP, Arrow(NUM, NUM, None)):
-        assert subtype(EMPTY, BOT, t)
-    assert not subtype(EMPTY, NUM, BOT)
+        assert subtype(BOT, t)
+    assert not subtype(NUM, BOT)
 
 
 def test_union_subtyping():
-    assert subtype(EMPTY, TRUE_T, BOOLEAN)
-    assert subtype(EMPTY, BOOLEAN, parse_type("(U Number Boolean)"))
-    assert not subtype(EMPTY, parse_type("(U Number Boolean)"), NUM)
+    assert subtype(TRUE_T, BOOLEAN)
+    assert subtype(BOOLEAN, parse_type("(U Number Boolean)"))
+    assert not subtype(parse_type("(U Number Boolean)"), NUM)
     # A union on the left needs every member below the right side, and that
     # must be checked before splitting a union on the right.
-    assert subtype(EMPTY, parse_type("(U Number Boolean)"),
+    assert subtype(parse_type("(U Number Boolean)"),
                    parse_type("(U Boolean Number)"))
 
 
 def test_arrow_subtyping_contra_co():
-    assert subtype(EMPTY, Arrow(TOP, TRUE_T, None), Arrow(NUM, BOOLEAN, None))
-    assert not subtype(EMPTY, Arrow(NUM, NUM, None), Arrow(TOP, NUM, None))
-    assert not subtype(EMPTY, Arrow(NUM, TOP, None), Arrow(NUM, NUM, None))
+    assert subtype(Arrow(TOP, TRUE_T, None), Arrow(NUM, BOOLEAN, None))
+    assert not subtype(Arrow(NUM, NUM, None), Arrow(TOP, NUM, None))
+    assert not subtype(Arrow(NUM, TOP, None), Arrow(NUM, NUM, None))
 
 
 def test_arrow_latent_dropping():
     with_latent = Arrow(TOP, BOOLEAN, NUM)
     without = Arrow(TOP, BOOLEAN, None)
-    assert subtype(EMPTY, with_latent, without)
-    assert not subtype(EMPTY, without, with_latent)
+    assert subtype(with_latent, without)
+    assert not subtype(without, with_latent)
     # Same latent on both sides is fine; a different one is not.
-    assert subtype(EMPTY, with_latent, Arrow(TOP, BOOLEAN, NUM))
-    assert not subtype(EMPTY, with_latent, Arrow(TOP, BOOLEAN, BOOLEAN))
+    assert subtype(with_latent, Arrow(TOP, BOOLEAN, NUM))
+    assert not subtype(with_latent, Arrow(TOP, BOOLEAN, BOOLEAN))
 
 
 # ---------------------------------------------------------------------------
@@ -142,35 +149,19 @@ def test_arrow_latent_dropping():
 
 
 def test_refinement_below_base():
-    assert subtype(PARITY, R_EVEN, NUM)
-    assert subtype(PARITY, R_EVEN, parse_type("(U Number Boolean)"))
-    assert subtype(PARITY, R_EVEN, TOP)
+    assert subtype(R_EVEN, NUM)
+    assert subtype(R_EVEN, parse_type("(U Number Boolean)"))
+    assert subtype(R_EVEN, TOP)
 
 
 def test_base_not_below_refinement():
-    assert not subtype(PARITY, NUM, R_EVEN)
+    assert not subtype(NUM, R_EVEN)
 
 
 def test_refinements_incomparable():
-    assert not subtype(PARITY, R_EVEN, R_ODD)
-    assert not subtype(PARITY, R_ODD, R_EVEN)
-    assert subtype(PARITY, R_EVEN, R_EVEN)
-
-
-def test_undeclared_refinement_raises():
-    with pytest.raises(UndeclaredRefinement):
-        subtype(EMPTY, R_EVEN, NUM)
-    with pytest.raises(UndeclaredRefinement):
-        subtype(frozenset({Constant.ODD_P}), R_EVEN, NUM)
-
-
-@pytest.mark.parametrize("s,t", [(NUM, R_EVEN), (R_EVEN, R_EVEN),
-                                 (NUM, UnionT((TOP, R_EVEN)))])
-def test_undeclared_refinement_raises_however_decided(s, t):
-    # Deciding these never reaches the refinement's base (s == t, or a
-    # union member that already fits), yet the refinement is undeclared.
-    with pytest.raises(UndeclaredRefinement, match="even[?] is not declared"):
-        subtype(EMPTY, s, t)
+    assert not subtype(R_EVEN, R_ODD)
+    assert not subtype(R_ODD, R_EVEN)
+    assert subtype(R_EVEN, R_EVEN)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +210,7 @@ OVERLAP_SAMPLES = [parse_type(s) for s in (
 def test_a_type_with_a_value_overlaps_its_supertypes():
     for s in OVERLAP_SAMPLES:
         for t in OVERLAP_SAMPLES:
-            if s != BOT and subtype(PARITY, s, t):
+            if s != BOT and subtype(s, t):
                 assert overlap(s, t), (print_type(s), print_type(t))
 
 
@@ -239,7 +230,7 @@ types = st.recursive(
 @settings(max_examples=100, deadline=None)
 @given(types)
 def test_subtype_reflexive(t):
-    assert subtype(PARITY, t, t)
+    assert subtype(t, t)
 
 
 def normal_types(size):
@@ -272,7 +263,7 @@ def test_subtype_transitive():
     # million of them: all that are above t are above s.
     ts = normal_types(4)
     assert len(set(ts)) == len(ts) == 549
-    above = {t: frozenset(u for u in ts if subtype(PARITY, t, u)) for t in ts}
+    above = {t: frozenset(u for u in ts if subtype(t, u)) for t in ts}
     for s in ts:
         for t in above[s]:
             assert above[t] <= above[s], (print_type(s), print_type(t))
