@@ -3,10 +3,12 @@ combination, and the syntax-directed typechecker.
 
 Two rule sets are supported.  The primary rules are what a programmer
 sees.  The extended rules keep every intermediate term of a reduction
-sequence typeable: they type #t and #f at True and False, skip a branch
-whose test is decided, decide a predicate applied to an operand other
-than a variable (true when its type is below the latent, false when the
-two cannot overlap), and apply an operator of type Bot as (-> Top Bot).
+sequence typeable: they type #t and #f at True and False and a numeric
+literal at the refinement of Δ its δ holds on (`literal_type`), skip a
+branch whose test is decided, decide a predicate applied to an operand
+other than a variable (true when its type is below the latent, false when
+the two cannot overlap or the operand is a value, whose type is exact),
+and apply an operator of type Bot as (-> Top Bot).
 """
 
 from __future__ import annotations
@@ -42,10 +44,11 @@ from .syntax import (
     UnionT,
     Var,
     VarPred,
+    is_value,
     print_expr,
     print_type,
 )
-from .subtyping import constant_types, overlap, subtype, undeclared
+from .subtyping import constant_types, literal_type, overlap, subtype, undeclared
 
 TypeEnv = dict  # identifier -> Type; treated as immutable
 
@@ -205,7 +208,7 @@ def typecheck(
             if cls is Var:
                 rule, j = "T-Var", Judgment(_lookup(g, e.name, e), VarPred(e.name))
             elif cls is Num:
-                rule, j = "T-Num", Judgment(NUM, TT)
+                rule, j = "T-Num", Judgment(literal_type(delta, e.value) if extended else NUM, TT)
             elif cls is Const:
                 rule, j = "T-Const", Judgment(constants[e.c], TT)
             elif cls is Bool:
@@ -248,7 +251,7 @@ def typecheck(
                     elif extended and latent is not None:
                         if subtype(j.type, latent):
                             rule, pred = "T-AppPredTrue", TT
-                        elif not overlap(j.type, latent):
+                        elif not overlap(j.type, latent) or is_value(node.rand):
                             rule, pred = "T-AppPredFalse", FF
                     hit(rule)
                     j = Judgment(op_type.res, pred)

@@ -2,16 +2,16 @@
 
 A program's Δ, its refinement predicates, is what its file declares plus
 `--delta`, or every refining constant when that is empty.  Only a
-predicate, a constant whose result type is Boolean, may be declared.
+refining constant, one whose latent is its own refinement, may be
+declared: no test puts a value in the refinement of any other.
 
 Exit codes: 0 success, 1 type or evaluation failure (an open program run
 `--unchecked` among them), 2 usage or parse error: bad flags (a negative
 `--fuel` among them), a file that cannot be read or is not UTF-8, a
-`--json` report that cannot be written, a non-predicate declared as a
-refinement, or input too deep for a recursive type walker: a type
-annotation nested about 1,000 levels deep, or a term whose type nests that
-deep checked against an arrow type.  Other terms of any depth are
-accepted.
+`--json` report that cannot be written, a constant declared as a
+refinement that is not a refining one, or input too deep for a recursive
+type walker: a type annotation nested about 1,000 levels deep.  Terms of
+any depth are accepted.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .harness import BUCKETS, FuzzConfig, run_fuzz
 from .semantics import DEFAULT_FUEL, FuelExhausted, StuckAt, Value, evaluate, trace
 from .subtyping import CONSTANT_TYPES, REFINING
 from .syntax import (
-    BOOLEAN,
     CONSTANT_BY_NAME,
     ParseError,
     free_vars,
@@ -62,8 +61,8 @@ def _load_program(path: str, delta_flag: str | None):
             if c is None:
                 raise _CliError(f"unknown constant in --delta: {name.strip()}", EXIT_USAGE)
             delta.add(c)
-    if bad := [c.value for c, t in CONSTANT_TYPES.items() if c in delta and t.res is not BOOLEAN]:
-        raise _CliError(f"not a predicate, so not a refinement: {', '.join(bad)}", EXIT_USAGE)
+    if bad := [c.value for c in CONSTANT_TYPES if c in delta and c not in REFINING]:
+        raise _CliError(f"not a refinement predicate: {', '.join(bad)}", EXIT_USAGE)
     return frozenset(delta or REFINING), expr
 
 

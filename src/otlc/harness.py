@@ -7,15 +7,9 @@ a suitably typed value, and, in refinement mode (a non-empty Δ of declared
 refinement predicates, which the generator draws from), that erasure
 commutes with reduction and preserves typability.
 
-Subject-reduction judgments are taken on the run of the refinement-erased
-term, under the empty Δ, where the parity tests have no latent: refinement
-soundness is established by erasure, and the predicates of refinement
-tests on literals are not stable step-to-step in the unerased system.
-Without refinements erasure is the identity, so this is the plain check.
-
-The generator does not vet its terms: which predicates survive
-substitution is for the checker's extended rules to say.  Only `_Gen.cond`
-filters, in refinement mode, which hides the one known gap, class D.
+The generator neither vets nor filters its terms, and judges only in the
+primary rules: which predicates survive substitution is for the checker's
+extended rules to say, under the term's own Δ.
 """
 
 from __future__ import annotations
@@ -34,7 +28,7 @@ from .checker import (
     is_subpred,
     typecheck,
 )
-from .refine import erase_env, erase_expr, erase_type, erased_judgment_holds
+from .refine import erase_expr, erased_judgment_holds
 from .semantics import FuelExhausted, StuckAt, Value, trace
 from .subtyping import CONSTANT_TYPES, REFINING, constant_types, subtype
 from .syntax import (
@@ -238,21 +232,8 @@ class _Gen:
     def cond(self, env: dict, goal, depth: int) -> Expr:
         test = self.make_test(env, depth)
         pred = typecheck(self.delta, env, test, Mode.PRIMARY).pred
-        env_then = env_plus(env, pred)
-        env_else = env_minus(env, pred)
-        if self.delta:
-            # The branches stay typeable in the chain system (erased,
-            # extended, judged under the empty Δ, where even? has no latent)
-            # only if it narrows each variable as far as the primary rules,
-            # pointwise.  It does not for a parity test: class D.
-            erased = erase_env(env)
-            chain = typecheck(frozenset(), erased, erase_expr(test), Mode.EXTENDED).pred
-            for mine, theirs in ((env_then, env_plus(erased, chain)),
-                                 (env_else, env_minus(erased, chain))):
-                if not all(subtype(theirs[x], erase_type(mine[x])) for x in mine):
-                    raise _GenFail
-        then = self.expr(env_then, goal, depth - 1)
-        els = self.expr(env_else, goal, depth - 1)
+        then = self.expr(env_plus(env, pred), goal, depth - 1)
+        els = self.expr(env_minus(env, pred), goal, depth - 1)
         return If(test, then, els)
 
     def make_test(self, env: dict, depth: int) -> Expr:
@@ -349,25 +330,27 @@ def gen_typed_term(rng: random.Random, max_depth: int, delta: frozenset, *,
 
 def _is_base(t) -> bool:
     # A normal union has no union members.
-    return all(isinstance(m, (NumT, TrueT, FalseT))
+    return all(isinstance(m, (NumT, TrueT, FalseT, Refine))
                for m in (t.members if isinstance(t, UnionT) else (t,)))
 
 
 def check_subject_reduction(e: Expr, fuel: int, delta: frozenset) -> list[FuzzFailure]:
     """Per-step verdicts for one primary-typed closed term; empty list
-    means every clause held.  A non-empty `delta` adds the erasure clauses."""
+    means every clause held.  Each term of the run is judged by the
+    extended rules under `delta`.  A non-empty `delta` adds the erasure
+    clauses."""
     delta = frozenset(delta)
     failures: list[FuzzFailure] = []
 
     def fail(kind: str, i: int, detail: str):
         failures.append(FuzzFailure(kind, print_expr(e), i, detail))
 
-    tr, outcome = trace(erase_expr(e), fuel)
+    tr, outcome = trace(e, fuel)
 
     judgments = []
     for i, term in enumerate(tr):
         try:
-            judgments.append(typecheck(frozenset(), {}, term, Mode.EXTENDED))
+            judgments.append(typecheck(delta, {}, term, Mode.EXTENDED))
         except TypeCheckError as err:
             fail("preservation", i, f"intermediate term untypeable: {err}")
             return failures
@@ -393,13 +376,14 @@ def check_subject_reduction(e: Expr, fuel: int, delta: frozenset) -> list[FuzzFa
                 fail("soundness", len(tr) - 1, "final value predicate exceeds the initial one")
 
     if delta:
-        if not erased_judgment_holds(delta, {}, e):
+        if not erased_judgment_holds(delta, e):
             fail("erased-typing", 0, "erased term does not carry the erased judgment")
         # The erased run must be the erased chain, term by term and no longer.
-        erased = [erase_expr(t) for t in trace(e, fuel)[0]]
-        if tr != erased:
-            i = next((i for i, (a, b) in enumerate(zip(tr, erased)) if a != b),
-                     min(len(tr), len(erased)))
+        run = trace(erase_expr(e), fuel)[0]
+        erased = [erase_expr(t) for t in tr]
+        if run != erased:
+            i = next((i for i, (a, b) in enumerate(zip(run, erased)) if a != b),
+                     min(len(run), len(erased)))
             fail("erasure-commutation", i - 1, "erasure does not commute with reduction")
 
     return failures

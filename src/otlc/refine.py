@@ -1,17 +1,17 @@
 """Refinement erasure: the erasure homomorphisms, the erased constant
 table, and the erased-judgment check.
 
-Erasure deletes every refinement constructor from types, annotations,
-predicates, and environments.  It reduces soundness of the refined
-system to soundness of the base system: an erased well-typed term is
-well-typed at the erased type, and erasure commutes with reduction.
+Erasure deletes every refinement constructor from types, annotations and
+predicates.  It reduces soundness of the refined system to soundness of
+the base system: an erased well-typed term is well-typed at the erased
+type, and erasure commutes with reduction.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .checker import Judgment, Mode, TypeCheckError, TypeEnv, is_subpred, typecheck
+from .checker import Judgment, Mode, TypeCheckError, is_subpred, typecheck
 from .subtyping import CONSTANT_TYPES, refinement_base, subtype
 from .syntax import (
     Abs,
@@ -45,10 +45,10 @@ def erase_type(t: Type) -> Type:
 
 # The erased judgment types each constant at the erasure of its type, so
 # it keeps the parity latents, erased to Number: it checks erasure
-# structurally.  Reduction chains are judged under the empty Δ instead,
-# where even? has no latent: erasing (Refinement even?) to Number leaves
-# even? claiming to be a test for Number, which the evaluator contradicts:
-# (even? 99) is #f.
+# structurally.  That leaves even? claiming to be a test for Number, which
+# the evaluator contradicts, (even? 99) being #f, and the erasure lemma
+# (`erased_judgment_holds`) rests on this table.  Reduction chains are
+# judged by the extended rules under Δ, whose latents agree with δ.
 ERASED_CONSTANT_TYPES: dict[Constant, Arrow] = {
     c: erase_type(t) for c, t in CONSTANT_TYPES.items()}
 
@@ -72,20 +72,16 @@ def erase_pred(p: Pred) -> Pred:
     return p
 
 
-def erase_env(g: TypeEnv) -> TypeEnv:
-    return {x: erase_type(t) for x, t in g.items()}
-
-
-def erased_judgment(g: TypeEnv, e: Expr) -> Judgment:
-    """Type the erased term under the erased environment, with constants
-    typed at their erased types."""
-    return typecheck(frozenset(), erase_env(g), erase_expr(e), Mode.PRIMARY,
+def erased_judgment(e: Expr) -> Judgment:
+    """Type the erased closed term, with constants typed at their erased
+    types."""
+    return typecheck(frozenset(), {}, erase_expr(e), Mode.PRIMARY,
                      constants=ERASED_CONSTANT_TYPES)
 
 
-def erased_judgment_holds(delta: frozenset, g: TypeEnv, e: Expr) -> bool:
-    """Check that erasing a well-typed term yields a judgment at least as
-    strong as the erasure of its judgment.
+def erased_judgment_holds(delta: frozenset, e: Expr) -> bool:
+    """Check that erasing a well-typed closed term yields a judgment at
+    least as strong as the erasure of its judgment.
 
     Strict equality does not hold in general: erasure can make type-test
     narrowing sharper (for example remove(Number, (Refinement odd?)) is
@@ -93,9 +89,9 @@ def erased_judgment_holds(delta: frozenset, g: TypeEnv, e: Expr) -> bool:
     so the erased derivation may conclude a subtype of the erased type and
     a sub-predicate of the erased predicate.
     """
-    j = typecheck(frozenset(delta), g, e, Mode.PRIMARY)
+    j = typecheck(frozenset(delta), {}, e, Mode.PRIMARY)
     try:
-        je = erased_judgment(g, e)
+        je = erased_judgment(e)
     except TypeCheckError:
         return False
     return (subtype(je.type, erase_type(j.type))

@@ -1,5 +1,6 @@
-"""Call-by-value small-step semantics: constant application, single
-steps over evaluation contexts, bounded multi-step, and traces.
+"""Call-by-value small-step semantics: single steps over evaluation
+contexts, bounded multi-step, and traces.  The δ rules, `apply_constant`,
+sit next to the constants in `otlc.syntax`, where the checker reads them.
 
 A run ends at a `Value`, `StuckAt` a redex no rule contracts, or with
 `FuelExhausted`.  `step` is the reference relation, on terms: it answers
@@ -27,11 +28,11 @@ from .syntax import (
     App,
     Bool,
     Const,
-    Constant,
     Expr,
     If,
     Num,
     Var,
+    apply_constant,
     free_vars,
     is_value,
     substitute,
@@ -63,28 +64,6 @@ class StuckAt:
 
 StepResult = Stepped | Value | StuckAt
 EvalOutcome = Value | FuelExhausted | StuckAt
-
-
-def apply_constant(c: Constant, v: Expr) -> Expr | None:
-    """The delta rules; None when no rule covers (c, v)."""
-    if not is_value(v):
-        raise ValueError("apply_constant: operand is not a value")
-    match c:
-        case Constant.ADD1:
-            return Num(v.value + 1) if isinstance(v, Num) else None
-        case Constant.NOT:
-            return Bool(isinstance(v, Bool) and v.value is False)
-        case Constant.NUMBER_P:
-            return Bool(isinstance(v, Num))
-        case Constant.BOOLEAN_P:
-            return Bool(isinstance(v, Bool))
-        case Constant.PROCEDURE_P:
-            return Bool(isinstance(v, (Abs, Const)))
-        case Constant.EVEN_P:
-            return Bool(v.value % 2 == 0) if isinstance(v, Num) else None
-        case Constant.ODD_P:
-            return Bool(v.value % 2 != 0) if isinstance(v, Num) else None
-    return None
 
 
 def _is_false(v: Expr) -> bool:

@@ -21,14 +21,17 @@ from .syntax import (
     NUM,
     TOP,
     Arrow,
+    Bool,
     Constant,
     FalseT,
+    Num,
     NumT,
     Refine,
     TopT,
     TrueT,
     Type,
     UnionT,
+    apply_constant,
 )
 
 
@@ -57,6 +60,14 @@ def constant_types(delta: frozenset[Constant]) -> dict[Constant, Arrow]:
     plain predicate, typed without its latent.  Shared: do not mutate."""
     return {c: Arrow(t.arg, t.res) if c in REFINING and c not in delta else t
             for c, t in CONSTANT_TYPES.items()}
+
+
+@lru_cache(maxsize=None)
+def literal_type(delta: frozenset[Constant], n: int) -> Type:
+    """The extended type of the numeric literal `n` under Δ: (Refinement c)
+    for the first c of `REFINING` in Δ whose δ answers #t on `n`, else Number."""
+    return next((Refine(c) for c in REFINING
+                 if c in delta and apply_constant(c, Num(n)) == Bool(True)), NUM)
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
-"""Abstract syntax, S-expression reader/printer, and term utilities.
+"""Abstract syntax, the δ rules of the constants, S-expression
+reader/printer, and term utilities.
 
 The term language is a lambda calculus with explicitly annotated binders,
 integer and boolean literals, a fixed set of primitive operations, and a
@@ -246,6 +247,28 @@ class If(Expr):
 
 def is_value(e: Expr) -> bool:
     return isinstance(e, (Num, Bool, Const, Abs))
+
+
+def apply_constant(c: Constant, v: Expr) -> Expr | None:
+    """The delta rules; None when no rule covers (c, v)."""
+    if not is_value(v):
+        raise ValueError("apply_constant: operand is not a value")
+    match c:
+        case Constant.ADD1:
+            return Num(v.value + 1) if isinstance(v, Num) else None
+        case Constant.NOT:
+            return Bool(isinstance(v, Bool) and v.value is False)
+        case Constant.NUMBER_P:
+            return Bool(isinstance(v, Num))
+        case Constant.BOOLEAN_P:
+            return Bool(isinstance(v, Bool))
+        case Constant.PROCEDURE_P:
+            return Bool(isinstance(v, (Abs, Const)))
+        case Constant.EVEN_P:
+            return Bool(v.value % 2 == 0) if isinstance(v, Num) else None
+        case Constant.ODD_P:
+            return Bool(v.value % 2 != 0) if isinstance(v, Num) else None
+    return None
 
 
 def _rebuild(e: Expr, kids) -> Expr:

@@ -9,7 +9,10 @@ constructors, which build every type in normal form, are shared, since the
 typing rules take them as given.  The rule for the declared refinement
 predicates Δ is re-implemented too: a refining constant outside Δ has no
 latent, and a λ whose annotation names a predicate outside Δ has no
-derivation.
+derivation.  So are the extended rules that read δ: a numeric literal
+has the type of each refinement of Δ whose test it passes, or Number if
+none, with the parity tests spelled here, and a latent applied to a value
+whose type is not below it is decided false.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from otlc.syntax import (
     Bool,
     BOOLEAN,
     Const,
+    Constant,
     Expr,
     FalseT,
     FalsePred,
@@ -48,6 +52,22 @@ from otlc.syntax import (
 )
 
 BOT = UnionT(())
+
+# The tests of the refinement predicates, on an integer.
+O_PASSES = {Constant.EVEN_P: lambda n: n % 2 == 0, Constant.ODD_P: lambda n: n % 2 == 1}
+
+
+def o_number_types(delta, mode, n):
+    """The types of the numeric literal n."""
+    if mode is Mode.EXTENDED:
+        refined = {Refine(c) for c in delta if O_PASSES[c](n)}
+        if refined:
+            return refined
+    return {NUM}
+
+
+def o_is_value(e):
+    return isinstance(e, (Num, Bool, Const, Abs))
 
 
 def o_kinds(t):
@@ -163,8 +183,8 @@ def derive(delta, g: dict, e: Expr, mode: Mode) -> frozenset:
         case Var(x):
             if x in g:
                 out.add((g[x], VarPred(x)))
-        case Num(_):
-            out.add((NUM, TT))
+        case Num(n):
+            out |= {(t, TT) for t in o_number_types(delta, mode, n)}
         case Const(c):
             out.add((o_constant_type(delta, c), TT))
         case Bool(v):
@@ -194,7 +214,7 @@ def derive(delta, g: dict, e: Expr, mode: Mode) -> frozenset:
                         if mode is Mode.EXTENDED:
                             if subtype(t2, arrow.latent):
                                 out.add((res, TT))
-                            elif not o_overlap(t2, arrow.latent):
+                            elif not o_overlap(t2, arrow.latent) or o_is_value(e2):
                                 out.add((res, FF))
         case If(e1, e2, e3):
             for (_, p1) in derive(delta, g, e1, mode):

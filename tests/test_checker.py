@@ -358,11 +358,27 @@ def test_extended_app_pred_false_on_compound_operands():
     assert check("(number? (if #t #f #t))").pred == NONE_PRED
 
 
-@pytest.mark.parametrize("src", ["(even? 98)", "(even? 99)"])
-def test_extended_parity_tests_are_undecided(src):
-    # A Number may or may not be even: the latent overlaps the operand's type
-    # without containing it, so the extended rules decide neither case.
-    assert check(src, Mode.EXTENDED, delta=PARITY).pred == NONE_PRED
+def test_extended_numeric_literals_take_a_refinement_of_delta():
+    # The refinement whose δ holds on the literal, if Δ declares it; the
+    # primary rules type every numeric literal at Number.
+    assert show(check("98", Mode.EXTENDED, delta=PARITY)) == "(Refinement even?) ; tt"
+    assert show(check("-9", Mode.EXTENDED, delta=PARITY)) == "(Refinement odd?) ; tt"
+    assert show(check("99", Mode.EXTENDED, delta=EVEN)) == "Number ; tt"
+    assert show(check("98", Mode.EXTENDED, delta=EMPTY)) == "Number ; tt"
+    assert show(check("98", delta=PARITY)) == "Number ; tt"
+
+
+@pytest.mark.parametrize("src,pred", [("(even? 98)", TT), ("(even? 99)", FF)],
+                         ids=["(even? 98)", "(even? 99)"])
+def test_extended_parity_tests_are_decided_by_delta(src, pred):
+    # Under Δ = {even?, odd?} the literal's type is the refinement its δ
+    # holds on, so the extended rules decide the test as δ does: true when
+    # it is below the latent, false for a value that is not.  Under
+    # Δ = {odd?}, even? has no latent, and the primary rules decide nothing.
+    assert check(src, Mode.EXTENDED, delta=PARITY).pred == pred
+    assert check(src, Mode.EXTENDED, delta=EVEN).pred == pred
+    assert check(src, Mode.EXTENDED, delta=frozenset({Constant.ODD_P})).pred == NONE_PRED
+    assert check(src, delta=PARITY).pred == NONE_PRED
 
 
 def test_extended_applies_an_operator_of_type_bot():

@@ -41,12 +41,12 @@ def test_check_extended_accepts_counterexample(program, capsys):
     assert capsys.readouterr().out.startswith("Boolean ;")
 
 
-def test_check_extended_leaves_a_parity_test_undecided(program, capsys):
-    # eval prints #t: an extended rule that decided (even? 98) false
-    # would contradict the evaluator.
+def test_check_extended_decides_a_parity_test_by_delta(program, capsys):
+    # Under the default Δ the extended rules type 98 at (Refinement even?),
+    # so they decide (even? 98) true, as eval, which prints #t, does.
     path = program("(even? 98)")
     assert main(["check", "--extended", path]) == EXIT_OK
-    assert capsys.readouterr().out.strip() == "Boolean ; none"
+    assert capsys.readouterr().out.strip() == "Boolean ; tt"
     assert main(["eval", path]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "#t"
 
@@ -123,16 +123,20 @@ def test_check_undeclared_refinement_exit_1(program, capsys, operand):
         "(lambda (f : (-> (Refinement even?) Number)) 1) [via T-App > T-Abs]")
 
 
-@pytest.mark.parametrize("how", ["directive", "flag"])
-def test_check_non_predicate_refinement_exit_2(program, capsys, how):
-    # add1 answers a Number, not a Boolean: no value passes or fails it.
-    src = "(lambda (x : (Refinement add1)) (add1 x))"
-    argv = (["check", program(f"(declare-refinement add1)\n{src}")] if how == "directive"
-            else ["check", "--delta", "add1", program(src)])
+@pytest.mark.parametrize("how,c", [("directive", "add1"), ("flag", "add1"),
+                                   ("directive", "number?"), ("flag", "number?")],
+                         ids=["directive", "flag", "directive-number?", "flag-number?"])
+def test_check_non_predicate_refinement_exit_2(program, capsys, how, c):
+    # Only a refining constant may be declared.  add1 answers a Number, not
+    # a Boolean, and number?'s latent is Number, not its own refinement: no
+    # test puts a value in the refinement of either.
+    src = f"(lambda (x : (Refinement {c})) x)"
+    argv = (["check", program(f"(declare-refinement {c})\n{src}")] if how == "directive"
+            else ["check", "--delta", c, program(src)])
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.strip() == "not a predicate, so not a refinement: add1"
+    assert captured.err.strip() == f"not a refinement predicate: {c}"
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +324,23 @@ def test_deep_lambda_tower_checks(program, capsys):
                    + ")" * depth)
     assert main(["check", path]) == EXIT_OK
     assert capsys.readouterr() == ("(-> Number " * depth + "Number" + ")" * depth + " ; tt\n", "")
+
+
+@pytest.mark.parametrize("depth", [200, 800, 1000, 1100])
+def test_deep_arrow_checked_against_its_annotation(program, capsys, depth):
+    # The subtype check recurses as deep as the annotation it checks against,
+    # which the type reader has already read by recursion: a λ tower passed
+    # to a parameter annotated with its own arrow type exits as the
+    # annotation alone does.  Where the reader gives up depends on the
+    # stack already in use, so only the ends of the range are pinned.
+    annotated = "(lambda (f : " + "(-> Number " * depth + "Number" + ")" * depth + ") 0)"
+    tower = ("".join(f"(lambda (x{i} : Number) " for i in range(depth)) + "x0"
+             + ")" * depth)
+    alone = main(["check", program(annotated, "alone.lts")])
+    applied = main(["check", program(f"({annotated} {tower})", "applied.lts")])
+    capsys.readouterr()
+    assert applied == alone
+    assert alone == {200: EXIT_OK, 1100: EXIT_USAGE}.get(depth, alone)
 
 
 def test_deep_lambda_tower_passed_to_top_checks(program, capsys):

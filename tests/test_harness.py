@@ -88,7 +88,7 @@ def test_generation_deterministic():
 # change to the generator's random draws, or to their order, changes it.
 STREAM_SHA256 = {
     False: "081744278b1517dd6de86acfdd0901e8e272c26f0f0967337b1d68b5aad01e97",
-    True: "f563f49e2d93b55ecf1ea20adec01c7190d09cef5084709178e7f0a9d3cd4f1f",
+    True: "1d02ca0559f9a60fb71b4693dc102c9feccaef9819d1a9a237d65e158b4d187d",
 }
 
 
@@ -235,10 +235,10 @@ def test_subject_reduction_flags_erasure_that_does_not_commute(monkeypatch, src,
     assert [(f.kind, f.step) for f in fails] == [("erasure-commutation", at)]
 
 
-@pytest.mark.parametrize("delta,calls", [(EMPTY, 1), (BOTH, 4)], ids=["EMPTY-1", "BOTH-4"])
+@pytest.mark.parametrize("delta,calls", [(EMPTY, 0), (BOTH, 4)], ids=["EMPTY-0", "BOTH-4"])
 def test_subject_reduction_erases_the_term_once(monkeypatch, delta, calls):
-    # The chain is the run of the erased term; only erasure commutation
-    # erases the unerased run, term by term.
+    # The chain is the run of the term itself; only erasure commutation
+    # erases, the term once and its run term by term.
     real_erase = harness.erase_expr
     erased = []
 
@@ -253,42 +253,36 @@ def test_subject_reduction_erases_the_term_once(monkeypatch, delta, calls):
 
 
 # Each term fails subject reduction, in the extended mode the chains are
-# re-judged in, without the rule or narrowing named beside it.
+# re-judged in, without the rule or narrowing named beside it.  Class D
+# also needs the chain judged under the term's own Δ.
 
 
-@pytest.mark.parametrize("src", [
+@pytest.mark.parametrize("src,delta", [
     # class A: T-AppPredFalse now fires on the compound operand of step 1
-    "((lambda (v1 : Top) (boolean? (if #t v1 #f))) 5)",
+    ("((lambda (v1 : Top) (boolean? (if #t v1 #f))) 5)", EMPTY),
     # class B: T-True types the #t substituted for v1 at True, as v1 was
-    "((lambda (v1 : Boolean) (if v1 v1 0)) #t)",
+    ("((lambda (v1 : Boolean) (if v1 v1 0)) #t)", EMPTY),
     # T-AppPredFalse on an operand that is not a value
-    "((lambda (v3 : (U Number Boolean)) (procedure? (if (boolean? v3) v3 v3))) #t)",
+    ("((lambda (v3 : (U Number Boolean)) (procedure? (if (boolean? v3) v3 v3))) #t)", EMPTY),
     # class C: restrict narrows the Number n to Bot under (p n), not to
     # procedure?'s latent, which step 1 substitutes for p
-    "((lambda (p : (-> Top Boolean)) ((lambda (f : (-> Number Number)) #t) "
-    "(lambda (n : Number) (if (p n) n 0)))) procedure?)",
+    ("((lambda (p : (-> Top Boolean)) ((lambda (f : (-> Number Number)) #t) "
+     "(lambda (n : Number) (if (p n) n 0)))) procedure?)", EMPTY),
     # the chain narrows f to Bot in a dead branch that the primary rules do
     # not narrow; an operator of type Bot applies by subsumption
-    "((lambda (f : (-> Number Number)) (if (if #f #f (number? f)) (f 1) 0)) add1)",
-], ids=["class-A", "class-B", "compound-operand", "class-C", "bot-operator"])
-def test_closed_gap(src):
-    assert check_subject_reduction(parse_expr(src), 100, EMPTY) == []
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="class D: the chain is judged under the empty Δ, where even? has "
-                   "no latent, so it keeps x : Number where the primary rules narrow it to Bot")
-def test_gap_parity_test_narrows_only_in_the_primary_rules():
-    # The paper's erasure argument meeting (even? 99): erasure turns
-    # (Refinement even?) into Number, and no rule over Number may decide
-    # (even? x).  The generator's Δ-gated pointwise check keeps it out.
-    e = parse_expr("(lambda (x : (Refinement even?)) "
-                   "((lambda (b : Boolean) #t) (if (even? x) #f x)))")
-    assert check_subject_reduction(e, 100, BOTH) == []
+    ("((lambda (f : (-> Number Number)) (if (if #f #f (number? f)) (f 1) 0)) add1)", EMPTY),
+    # class D: under Δ, even? narrows x to Bot in the else branch, as the
+    # primary rules do; under the empty Δ it has no latent, so x stays a
+    # Number there and the if is no Boolean
+    ("(lambda (x : (Refinement even?)) ((lambda (b : Boolean) #t) (if (even? x) #f x)))",
+     BOTH),
+], ids=["class-A", "class-B", "compound-operand", "class-C", "bot-operator", "class-D"])
+def test_closed_gap(src, delta):
+    assert check_subject_reduction(parse_expr(src), 100, delta) == []
 
 
 def test_base_generation_judges_in_the_primary_rules_only(monkeypatch):
-    # Only refinement mode's pointwise check consults the chain system.
+    # In both modes: the generator keeps no filter of its own.
     modes = set()
 
     def spy(delta, g, e, mode=Mode.PRIMARY, **kw):
@@ -301,7 +295,7 @@ def test_base_generation_judges_in_the_primary_rules_only(monkeypatch):
     assert modes == {Mode.PRIMARY}
     for i in range(100):
         gen_typed_term(random.Random(f"modes:{i}"), 6, BOTH)
-    assert Mode.EXTENDED in modes
+    assert modes == {Mode.PRIMARY}
 
 
 # ---------------------------------------------------------------------------
