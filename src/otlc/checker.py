@@ -164,6 +164,7 @@ def typecheck(
     mode: Mode = Mode.PRIMARY,
     coverage: dict[str, int] | None = None,
     constants: dict[Constant, Arrow] | None = None,
+    memo: dict[int, Judgment] | None = None,
 ) -> Judgment:
     """Derive the type and visible predicate of `e` under `g`, with an
     explicit stack of premise frames, so a term of any depth checks.
@@ -172,7 +173,16 @@ def typecheck(
     declared refinement predicates.  `coverage`, when given, counts how
     often each typing rule fires.  `constants` gives the type of each
     constant; by default it is the table under `delta`, `constant_types`.
+
+    `memo`, when given, holds by `id` the judgment of each node reached
+    under the empty environment, which under a closed root is each node
+    outside every binder, so the node alone is the key.  Errors are not
+    stored.  Share a memo only between calls with the same `delta`, `mode`
+    and `constants`, and only while every node it names is alive.  A hit
+    counts no rules, so `memo` and `coverage` exclude each other.
     """
+    if memo is not None and coverage is not None:
+        raise ValueError("typecheck: a memo hit counts no rules; pass memo or coverage, not both")
     delta = frozenset(delta)
     constants = constant_types(delta) if constants is None else constants
     extended = mode is Mode.EXTENDED
@@ -190,22 +200,24 @@ def typecheck(
         while True:
             # Descend to the leftmost premise not yet judged.
             cls = e.__class__
-            if cls is App:
+            if memo is not None and not g and id(e) in memo:
+                rule, j = None, memo[id(e)]  # no rule to count: there is no coverage
+            elif cls is App:
                 frames.append(("T-App", e, g, ()))
                 e = e.rator
                 continue
-            if cls is If:
+            elif cls is If:
                 frames.append(("T-If", e, g, ()))
                 e = e.test
                 continue
-            if cls is Abs:
+            elif cls is Abs:
                 if (c := undeclared(delta, e.annot)) is not None:
                     raise TypeCheckError(
                         "T-Abs", e, f"refinement predicate {c.value} is not declared")
                 frames.append(("T-Abs", e, g, ()))
                 e, g = e.body, {**g, e.param: e.annot}
                 continue
-            if cls is Var:
+            elif cls is Var:
                 rule, j = "T-Var", Judgment(_lookup(g, e.name, e), VarPred(e.name))
             elif cls is Num:
                 rule, j = "T-Num", Judgment(literal_type(delta, e.value) if extended else NUM, TT)
@@ -269,7 +281,9 @@ def typecheck(
                         frames.append((rule, node, env, js))
                         break
                     hit("T-If")
-                    j = Judgment(UnionT((js[1].type, j.type)), combfilter(*(x.pred for x in js)))
+                    # Equal branch types join to themselves: no union to look up.
+                    t = j.type if js[1].type is j.type else UnionT((js[1].type, j.type))
+                    j = Judgment(t, combfilter(*(x.pred for x in js)))
                 elif rule == "T-Abs":
                     pred = j.pred
                     latent = pred.type if isinstance(pred, TypeOfPred) and pred.var == node.param else None
@@ -277,6 +291,8 @@ def typecheck(
                     j = Judgment(Arrow(node.annot, j.type, latent), TT)
                 else:  # the taken branch of T-IfTrue or T-IfFalse
                     hit(rule)
+                if memo is not None and not env:
+                    memo[id(node)] = j
             else:
                 return j
     except TypeCheckError as err:

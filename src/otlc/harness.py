@@ -338,7 +338,10 @@ def check_subject_reduction(e: Expr, fuel: int, delta: frozenset) -> list[FuzzFa
     """Per-step verdicts for one primary-typed closed term; empty list
     means every clause held.  Each term of the run is judged by the
     extended rules under `delta`.  A non-empty `delta` adds the erasure
-    clauses."""
+    clauses.  The terms of a run share most of their nodes, so the run is
+    judged with one memo and erased with another, both kept valid by `tr`,
+    which holds every node alive: each closed node is judged once, and
+    each node erased once."""
     delta = frozenset(delta)
     failures: list[FuzzFailure] = []
 
@@ -348,9 +351,10 @@ def check_subject_reduction(e: Expr, fuel: int, delta: frozenset) -> list[FuzzFa
     tr, outcome = trace(e, fuel)
 
     judgments = []
+    judged: dict = {}
     for i, term in enumerate(tr):
         try:
-            judgments.append(typecheck(delta, {}, term, Mode.EXTENDED))
+            judgments.append(typecheck(delta, {}, term, Mode.EXTENDED, memo=judged))
         except TypeCheckError as err:
             fail("preservation", i, f"intermediate term untypeable: {err}")
             return failures
@@ -376,11 +380,14 @@ def check_subject_reduction(e: Expr, fuel: int, delta: frozenset) -> list[FuzzFa
                 fail("soundness", len(tr) - 1, "final value predicate exceeds the initial one")
 
     if delta:
-        if not erased_judgment_holds(delta, e):
+        erasures: dict = {}
+        erased = [erase_expr(t, erasures) for t in tr]
+        if not erased_judgment_holds(delta, e, erased[0]):
             fail("erased-typing", 0, "erased term does not carry the erased judgment")
-        # The erased run must be the erased chain, term by term and no longer.
-        run = trace(erase_expr(e), fuel)[0]
-        erased = [erase_expr(t) for t in tr]
+        # The erased run must be the erased chain, term by term and no
+        # longer.  A term with nothing to erase runs as itself: `trace` is
+        # deterministic.
+        run = tr if erased[0] is e else trace(erased[0], fuel)[0]
         if run != erased:
             i = next((i for i, (a, b) in enumerate(zip(run, erased)) if a != b),
                      min(len(run), len(erased)))

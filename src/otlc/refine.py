@@ -60,10 +60,12 @@ def _erase_node(e: Expr, kids: list) -> Expr:
     return e
 
 
-def erase_expr(e: Expr) -> Expr:
+def erase_expr(e: Expr, memo: dict | None = None) -> Expr:
     """`e` with refinements erased from its annotations; a subterm with
-    nothing to erase is shared, not rebuilt."""
-    return fold(e, lambda x: x, _erase_node)
+    nothing to erase is shared, not rebuilt.  `memo`, shared between the
+    terms of a run while they are alive, erases each node once, so a node
+    the terms share is erased to one shared node."""
+    return fold(e, lambda x: x, _erase_node, memo)
 
 
 def erase_pred(p: Pred) -> Pred:
@@ -72,16 +74,17 @@ def erase_pred(p: Pred) -> Pred:
     return p
 
 
-def erased_judgment(e: Expr) -> Judgment:
+def erased_judgment(e: Expr, erased: Expr | None = None) -> Judgment:
     """Type the erased closed term, with constants typed at their erased
-    types."""
-    return typecheck(frozenset(), {}, erase_expr(e), Mode.PRIMARY,
-                     constants=ERASED_CONSTANT_TYPES)
+    types.  `erased`, when given, is `erase_expr(e)`, already built."""
+    return typecheck(frozenset(), {}, erase_expr(e) if erased is None else erased,
+                     Mode.PRIMARY, constants=ERASED_CONSTANT_TYPES)
 
 
-def erased_judgment_holds(delta: frozenset, e: Expr) -> bool:
+def erased_judgment_holds(delta: frozenset, e: Expr, erased: Expr | None = None) -> bool:
     """Check that erasing a well-typed closed term yields a judgment at
-    least as strong as the erasure of its judgment.
+    least as strong as the erasure of its judgment.  `erased`, when
+    given, is `erase_expr(e)`, already built.
 
     Strict equality does not hold in general: erasure can make type-test
     narrowing sharper (for example remove(Number, (Refinement odd?)) is
@@ -91,7 +94,7 @@ def erased_judgment_holds(delta: frozenset, e: Expr) -> bool:
     """
     j = typecheck(frozenset(delta), {}, e, Mode.PRIMARY)
     try:
-        je = erased_judgment(e)
+        je = erased_judgment(e, erased)
     except TypeCheckError:
         return False
     return (subtype(je.type, erase_type(j.type))

@@ -286,28 +286,36 @@ def _rebuild(e: Expr, kids) -> Expr:
     return e
 
 
-def fold(e: Expr, leaf, node):
+def fold(e: Expr, leaf, node, memo: dict | None = None):
     """Fold `e` bottom-up over an explicit stack, so input of any depth
     folds.  `leaf(x)` gives the result of each Var, Num, Bool and Const (and
     of anything that is not a term), and `node(x, results)` that of each
     Abs, App and If from the list of its subterms' results, left to right.
-    The callbacks are called in post-order."""
+    The callbacks are called in post-order.  `memo`, when given, holds by
+    `id` the result of each Abs, App and If folded, and a node found there
+    is not folded again: share it between folds with the same callbacks,
+    while every node it names is alive."""
     todo: list = [e]  # terms to fold, and (node, number of subterms) to combine
     done: list = []   # results, innermost last
     while todo:
         x = todo.pop()
         cls = x.__class__
-        if cls is App:
+        if cls is tuple:
+            x, n = x
+            results = done[-n:]
+            del done[-n:]
+            r = node(x, results)
+            if memo is not None:
+                memo[id(x)] = r
+            done.append(r)
+        elif memo is not None and id(x) in memo:
+            done.append(memo[id(x)])
+        elif cls is App:
             todo += ((x, 2), x.rand, x.rator)
         elif cls is If:
             todo += ((x, 3), x.els, x.then, x.test)
         elif cls is Abs:
             todo += ((x, 1), x.body)
-        elif cls is tuple:
-            x, n = x
-            results = done[-n:]
-            del done[-n:]
-            done.append(node(x, results))
         else:
             done.append(leaf(x))
     return done[0]

@@ -494,3 +494,9 @@ def test_typecheck_deterministic():
     src = "(lambda (x : (U Number Boolean)) (if (number? x) (add1 x) 0))"
     js = [check(src) for _ in range(3)]
     assert js[0] == js[1] == js[2]
+
+
+def test_memo_is_refused_with_coverage():
+    # A memo hit counts no rules, so the two cannot be combined.
+    with pytest.raises(ValueError):
+        typecheck(EMPTY, {}, parse_expr("(add1 1)"), memo={}, coverage={})

@@ -8,6 +8,7 @@ import io
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -29,16 +30,19 @@ from otlc.subtyping import REFINING
 from otlc.syntax import (
     Abs,
     App,
+    Bool,
     Constant,
     If,
     Num,
     free_vars,
     parse_expr,
+    parse_program,
     print_expr,
 )
 
 EMPTY = frozenset()
 BOTH = frozenset({Constant.EVEN_P, Constant.ODD_P})
+CORPUS = sorted(Path(__file__).parent.glob("corpus/*.lts"))
 
 
 # ---------------------------------------------------------------------------
@@ -227,29 +231,32 @@ def test_subject_reduction_flags_erasure_that_does_not_commute(monkeypatch, src,
     # An erasure that maps 42 to 41 no longer commutes with the step to 42.
     real_erase = harness.erase_expr
 
-    def bad_erase(e):
-        return Num(41) if e == Num(42) else real_erase(e)
+    def bad_erase(e, memo=None):
+        return Num(41) if e == Num(42) else real_erase(e, memo)
 
     monkeypatch.setattr(harness, "erase_expr", bad_erase)
     fails = check_subject_reduction(parse_expr(src), 10, BOTH)
     assert [(f.kind, f.step) for f in fails] == [("erasure-commutation", at)]
 
 
-@pytest.mark.parametrize("delta,calls", [(EMPTY, 0), (BOTH, 4)], ids=["EMPTY-0", "BOTH-4"])
+@pytest.mark.parametrize("delta,calls", [(EMPTY, 0), (BOTH, 3)], ids=["EMPTY-0", "BOTH-3"])
 def test_subject_reduction_erases_the_term_once(monkeypatch, delta, calls):
     # The chain is the run of the term itself; only erasure commutation
-    # erases, the term once and its run term by term.
+    # erases, its run term by term, the term itself once, as the run's
+    # first term.
     real_erase = harness.erase_expr
     erased = []
 
-    def counting_erase(e):
+    def counting_erase(e, memo=None):
         erased.append(e)
-        return real_erase(e)
+        return real_erase(e, memo)
 
     monkeypatch.setattr(harness, "erase_expr", counting_erase)
     e = parse_expr("(add1 (add1 1))")
     assert check_subject_reduction(e, 10, delta) == []
     assert len(erased) == calls
+    assert erased == trace(e, 10)[0][:calls]
+    assert [t is e for t in erased] == [True, False, False][:calls]
 
 
 # Each term fails subject reduction, in the extended mode the chains are
@@ -296,6 +303,59 @@ def test_base_generation_judges_in_the_primary_rules_only(monkeypatch):
     for i in range(100):
         gen_typed_term(random.Random(f"modes:{i}"), 6, BOTH)
     assert modes == {Mode.PRIMARY}
+
+
+# ---------------------------------------------------------------------------
+# memoized and uncached chain judgments agree
+
+
+def _chain_judgments(terms, delta, memo):
+    """The extended judgment of each term under `delta`, or the rule, trail
+    and message of its error."""
+    out = []
+    for t in terms:
+        try:
+            out.append(typecheck(delta, {}, t, Mode.EXTENDED, memo=memo))
+        except TypeCheckError as err:
+            out.append((err.rule, err.trail, str(err)))
+    return out
+
+
+def _assert_memo_agrees(e, delta):
+    tr = trace(e, 1000)[0]
+    assert _chain_judgments(tr, delta, {}) == _chain_judgments(tr, delta, None)
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
+def test_memoized_chain_judgments_agree_on_the_corpus(path):
+    declared, e = parse_program(path.read_text(encoding="utf-8"))
+    _assert_memo_agrees(e, frozenset(declared or REFINING))
+
+
+def test_memoized_chain_judgments_agree_on_the_closed_gaps():
+    # The terms of `test_closed_gap`.
+    for src, delta in test_closed_gap.pytestmark[0].args[1]:
+        _assert_memo_agrees(parse_expr(src), delta)
+
+
+@pytest.mark.parametrize("delta", [EMPTY, BOTH], ids=["EMPTY", "BOTH"])
+def test_memoized_chain_judgments_agree_on_generated_terms(delta):
+    for i in range(500):
+        _assert_memo_agrees(gen_typed_term(random.Random(f"memo:{i}"), 6, delta), delta)
+
+
+def test_memoized_chain_judgments_agree_on_an_ill_typed_reduct(monkeypatch):
+    # Force an ill-typed reduct, as in test_subject_reduction_flags_stuck_terms.
+    real_apply = semantics.apply_constant
+
+    def broken_apply(c, v):
+        return Bool(True) if c == Constant.ADD1 and v == Num(40) else real_apply(c, v)
+
+    monkeypatch.setattr(semantics, "apply_constant", broken_apply)
+    tr = trace(parse_expr("(if (add1 (add1 (add1 40))) add1 (lambda (x : Number) x))"), 10)[0]
+    got = _chain_judgments(tr, EMPTY, {})
+    assert got == _chain_judgments(tr, EMPTY, None)
+    assert got[-1][:2] == ("T-App", ["T-App", "T-App", "T-If"])
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,17 @@ from otlc.refine import (
     erased_judgment,
     erased_judgment_holds,
 )
-from otlc.semantics import Stepped, Value, evaluate, step
+from otlc.semantics import Stepped, Value, evaluate, step, trace
 from otlc.subtyping import REFINING, constant_types, subtype
 from otlc.syntax import (
+    App,
     Bool,
     Constant,
+    If,
+    Num,
     TT,
     apply_constant,
+    fold,
     free_vars,
     is_value,
     parse_expr,
@@ -88,6 +92,40 @@ def test_erasure_preserves_value_and_free_vars():
     e = parse_expr("(lambda (n : (Refinement even?)) (add1 x))")
     assert is_value(erase_expr(e)) == is_value(e)
     assert free_vars(erase_expr(e)) == free_vars(e)
+
+
+def _node_ids(terms) -> set[int]:
+    seen: set[int] = set()
+    for t in terms:
+        fold(t, lambda x: seen.add(id(x)), lambda x, kids: seen.add(id(x)))
+    return seen
+
+
+def test_memoized_erasure_erases_a_shared_node_once():
+    lam = parse_expr("(lambda (x : (Refinement even?)) x)")
+    a, b = App(lam, Num(2)), If(Bool(True), lam, lam)
+    memo: dict = {}
+    ea, eb = erase_expr(a, memo), erase_expr(b, memo)
+    assert ea == erase_expr(a) and eb == erase_expr(b)
+    assert ea.rator is eb.then is eb.els
+    assert erase_expr(a).rator is not erase_expr(b).then
+    folded = []
+    fold(b, lambda x: x, lambda x, kids: folded.append(x), memo={})
+    assert folded == [lam, b]
+
+
+def test_memoized_erasure_agrees_and_keeps_sharing_along_runs():
+    rich = 0
+    for i in range(500):
+        e = gen_typed_term(random.Random(f"erase-memo:{i}"), 6, frozenset(REFINING))
+        tr = trace(e, 1000)[0]
+        memo: dict = {}
+        shared = [erase_expr(t, memo) for t in tr]
+        assert shared == [erase_expr(t) for t in tr]
+        # One erased node per node of the run: shared nodes stay shared.
+        assert len(_node_ids(shared)) == len(_node_ids(tr))
+        rich += shared[0] is not e and len(tr) > 1
+    assert rich > 50
 
 
 # ---------------------------------------------------------------------------
