@@ -6,9 +6,9 @@ Round i runs once in each checkout, alternating which side goes first,
 and times the median of 9 fresh imports (`load_otlc`, the `setup_s`
 path) and then `run_fuzz` on CHUNKS of the benchmark's chunk seeds
 `10**9 + seed*10**4 + k` (seed SEED + i), or one checked `programs`
-round.  It prints each side's medians, the change's wins, and per round a
-hash of the `run_fuzz` reports (or program texts): equal hashes show
-both sides ran the same terms.
+round.  It prints each side's median and quartiles, the change's wins,
+and per round a hash of the `run_fuzz` reports (or program texts): equal
+hashes show both sides ran the same terms.
 
 Example:
     python3 scripts/cpu_pairs.py ../parent . --workload fuzz-refine --rounds 10
@@ -26,6 +26,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+from bench_pairs import quartiles
 
 
 def child(checkout: Path, workload: str, seed: int, chunks: int) -> dict:
@@ -97,8 +99,10 @@ def main() -> int:
     for metric in ("cpu_s", "import_s"):
         old, new = ([r[metric] for r in got[s]] for s in ("old", "new"))
         wins = sum(b < a for a, b in zip(old, new))
-        print(f"{metric}: old median {statistics.median(old):.4f}, "
-              f"new median {statistics.median(new):.4f}, new wins {wins}/{args.rounds}")
+        (oq1, omed, oq3), (nq1, nmed, nq3) = quartiles(old), quartiles(new)
+        print(f"{metric}: old median {omed:.4f} (q1 {oq1:.4f}, q3 {oq3:.4f}), "
+              f"new median {nmed:.4f} (q1 {nq1:.4f}, q3 {nq3:.4f}), "
+              f"new wins {wins}/{args.rounds}")
     same = [a["hash"] == b["hash"] for a, b in zip(got["old"], got["new"])]
     print(f"same hash in {sum(same)}/{args.rounds} rounds; failures old "
           f"{sum(r['bad'] for r in got['old'])}, new {sum(r['bad'] for r in got['new'])}")

@@ -23,6 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from otlc.checker import Mode, typecheck  # noqa: E402
 from otlc.harness import FuzzConfig, gen_typed_term  # noqa: E402
 from otlc.semantics import trace  # noqa: E402
 from otlc.subtyping import REFINING  # noqa: E402
@@ -40,8 +41,8 @@ def stats(count: int, seeds: list[int], depth: int, fuel: int,
     refined = {c: 0 for c in REFINING if c in delta}  # terms mentioning (Refinement c)
     for seed in seeds:
         for i in range(count):
-            e = gen_typed_term(random.Random(f"dist:{seed}:{i}"), depth,
-                               delta, coverage=coverage)
+            e = gen_typed_term(random.Random(f"dist:{seed}:{i}"), depth, delta)
+            typecheck(delta, {}, e, Mode.PRIMARY, coverage=coverage)
             sizes.append(nodes(e))
             steps.append(len(trace(e, fuel)[0]) - 1)
             text = print_expr(e)

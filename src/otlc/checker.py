@@ -13,8 +13,8 @@ and apply an operator of type Bot as (-> Top Bot).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .syntax import (
     BOOLEAN,
@@ -58,8 +58,7 @@ class Mode(Enum):
     EXTENDED = "extended"
 
 
-@dataclass(frozen=True)
-class Judgment:
+class Judgment(NamedTuple):
     type: Type
     pred: Pred
 
@@ -187,10 +186,6 @@ def typecheck(
     constants = constant_types(delta) if constants is None else constants
     extended = mode is Mode.EXTENDED
 
-    def hit(rule: str):
-        if coverage is not None:
-            coverage[rule] = coverage.get(rule, 0) + 1
-
     # One frame per judgment waiting on a premise: (the rule the premise is
     # judged under, the node, the node's environment, the judgments of its
     # premises so far).  A frame is off the stack while its node concludes,
@@ -228,7 +223,8 @@ def typecheck(
                 j = Judgment(t if extended else BOOLEAN, pred)
             else:
                 raise TypeCheckError("T-?", e, f"not an expression: {e!r}")
-            hit(rule)
+            if coverage is not None:
+                coverage[rule] = coverage.get(rule, 0) + 1
             # Hand `j` up to the first frame with a premise left, which
             # becomes `e` under `g`.
             while frames:
@@ -265,7 +261,6 @@ def typecheck(
                             rule, pred = "T-AppPredTrue", TT
                         elif not overlap(j.type, latent) or is_value(node.rand):
                             rule, pred = "T-AppPredFalse", FF
-                    hit(rule)
                     j = Judgment(op_type.res, pred)
                 elif rule == "T-If":
                     if len(js) == 1 and extended and isinstance(j.pred, (TruePred, FalsePred)):
@@ -280,17 +275,17 @@ def typecheck(
                                 else (node.els, env_minus(env, js[0].pred)))
                         frames.append((rule, node, env, js))
                         break
-                    hit("T-If")
                     # Equal branch types join to themselves: no union to look up.
                     t = j.type if js[1].type is j.type else UnionT((js[1].type, j.type))
                     j = Judgment(t, combfilter(*(x.pred for x in js)))
                 elif rule == "T-Abs":
                     pred = j.pred
                     latent = pred.type if isinstance(pred, TypeOfPred) and pred.var == node.param else None
-                    hit("T-Abs" if latent is None else "T-AbsPred")
+                    rule = "T-Abs" if latent is None else "T-AbsPred"
                     j = Judgment(Arrow(node.annot, j.type, latent), TT)
-                else:  # the taken branch of T-IfTrue or T-IfFalse
-                    hit(rule)
+                # T-IfTrue and T-IfFalse conclude with the taken branch's `j`.
+                if coverage is not None:
+                    coverage[rule] = coverage.get(rule, 0) + 1
                 if memo is not None and not env:
                     memo[id(node)] = j
             else:

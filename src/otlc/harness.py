@@ -9,7 +9,9 @@ commutes with reduction and preserves typability.
 
 The generator neither vets nor filters its terms, and judges only in the
 primary rules: which predicates survive substitution is for the checker's
-extended rules to say, under the term's own Δ.
+extended rules to say, under the term's own Δ.  `run_fuzz` takes each
+term's primary judgment once, counting its rules, and hands it to the
+erasure check.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ import itertools
 import json
 import random
 import time
+from bisect import bisect
 from dataclasses import dataclass, field
 
 from .checker import (
+    Judgment,
     Mode,
     TypeCheckError,
     env_minus,
@@ -150,6 +154,13 @@ class _GenFail(Exception):
     pass
 
 
+def _draw(rng: random.Random, weights: list[int]) -> int:
+    """The index `rng.choices(range(len(weights)), weights)[0]` picks, from
+    the same one `rng.random()`, without `choices`' generic path."""
+    cum = list(itertools.accumulate(weights))
+    return bisect(cum, rng.random() * cum[-1], 0, len(cum) - 1)
+
+
 class _Gen:
     def __init__(self, rng: random.Random, delta: frozenset):
         self.rng = rng
@@ -170,7 +181,7 @@ class _Gen:
         names = list(_BUILDERS)
         left = list(_BUILDERS.values())
         for _ in range(_BUILDER_TRIES):
-            k = self.rng.choices(range(len(left)), left)[0]
+            k = _draw(self.rng, left)
             left[k] -= 1
             try:
                 return getattr(self, names[k])(env, goal, depth)
@@ -307,21 +318,17 @@ class _Gen:
         raise _GenFail
 
 
-def gen_typed_term(rng: random.Random, max_depth: int, delta: frozenset, *,
-                   coverage: dict[str, int] | None = None) -> Expr:
+def gen_typed_term(rng: random.Random, max_depth: int, delta: frozenset) -> Expr:
     """A closed term that typechecks with the primary rules under `delta`,
     its annotations naming only refinements of `delta`.  The generator
     builds terms by the typing rules, so each is well typed by
-    construction; the primary judgment is taken once, here, and a failing
-    one raises `TypeCheckError`, as the generator bug it is.  `coverage`,
-    when given, counts the rules of that judgment, as `typecheck` does."""
+    construction, and the term is not judged here: `run_fuzz` takes its
+    primary judgment, where a failing one raises `TypeCheckError`, as the
+    generator bug it is."""
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
-    delta = frozenset(delta)
-    gen = _Gen(rng, delta)
-    e = gen.expr({}, rng.choice(gen.goals), max_depth)
-    typecheck(delta, {}, e, Mode.PRIMARY, coverage=coverage)
-    return e
+    gen = _Gen(rng, frozenset(delta))
+    return gen.expr({}, rng.choice(gen.goals), max_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +341,17 @@ def _is_base(t) -> bool:
                for m in (t.members if isinstance(t, UnionT) else (t,)))
 
 
-def check_subject_reduction(e: Expr, fuel: int, delta: frozenset) -> list[FuzzFailure]:
+def check_subject_reduction(e: Expr, fuel: int, delta: frozenset,
+                            primary: Judgment | None = None) -> list[FuzzFailure]:
     """Per-step verdicts for one primary-typed closed term; empty list
     means every clause held.  Each term of the run is judged by the
     extended rules under `delta`.  A non-empty `delta` adds the erasure
-    clauses.  The terms of a run share most of their nodes, so the run is
-    judged with one memo and erased with another, both kept valid by `tr`,
-    which holds every node alive: each closed node is judged once, and
-    each node erased once."""
+    clauses, which compare with `e`'s primary judgment: `primary`, as
+    `run_fuzz` took it, or derived by `erased_judgment_holds`.  The terms
+    of a run share most of their nodes, so the run is judged with one
+    memo and erased with another, both kept valid by `tr`, which holds
+    every node alive: each closed node is judged once, and each node
+    erased once."""
     delta = frozenset(delta)
     failures: list[FuzzFailure] = []
 
@@ -382,7 +392,7 @@ def check_subject_reduction(e: Expr, fuel: int, delta: frozenset) -> list[FuzzFa
     if delta:
         erasures: dict = {}
         erased = [erase_expr(t, erasures) for t in tr]
-        if not erased_judgment_holds(delta, e, erased[0]):
+        if not erased_judgment_holds(delta, e, erased[0], primary):
             fail("erased-typing", 0, "erased term does not carry the erased judgment")
         # The erased run must be the erased chain, term by term and no
         # longer.  A term with nothing to erase runs as itself: `trace` is
@@ -468,7 +478,8 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
     report = FuzzReport(seed=config.seed)
     for i in range(config.count):
         rng = random.Random(f"{config.seed}:{i}")
-        e = gen_typed_term(rng, config.max_depth, delta, coverage=report.coverage)
+        e = gen_typed_term(rng, config.max_depth, delta)
+        j = typecheck(delta, {}, e, Mode.PRIMARY, coverage=report.coverage)
         report.generated += 1
 
         if parse_expr(print_expr(e)) != e:
@@ -476,7 +487,7 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
                 FuzzFailure("roundtrip", print_expr(e), 0,
                             "printing then parsing changed the term"))
 
-        fails = check_subject_reduction(e, config.fuel, delta)
+        fails = check_subject_reduction(e, config.fuel, delta, primary=j)
         if fails:
             def still_fails(t):
                 return bool(check_subject_reduction(t, config.fuel, delta))

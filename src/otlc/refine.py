@@ -81,10 +81,12 @@ def erased_judgment(e: Expr, erased: Expr | None = None) -> Judgment:
                      Mode.PRIMARY, constants=ERASED_CONSTANT_TYPES)
 
 
-def erased_judgment_holds(delta: frozenset, e: Expr, erased: Expr | None = None) -> bool:
+def erased_judgment_holds(delta: frozenset, e: Expr, erased: Expr | None = None,
+                          primary: Judgment | None = None) -> bool:
     """Check that erasing a well-typed closed term yields a judgment at
     least as strong as the erasure of its judgment.  `erased`, when
-    given, is `erase_expr(e)`, already built.
+    given, is `erase_expr(e)`, already built, and `primary` is `e`'s
+    judgment in the primary rules under `delta`, already derived.
 
     Strict equality does not hold in general: erasure can make type-test
     narrowing sharper (for example remove(Number, (Refinement odd?)) is
@@ -92,7 +94,7 @@ def erased_judgment_holds(delta: frozenset, e: Expr, erased: Expr | None = None)
     so the erased derivation may conclude a subtype of the erased type and
     a sub-predicate of the erased predicate.
     """
-    j = typecheck(frozenset(delta), {}, e, Mode.PRIMARY)
+    j = typecheck(frozenset(delta), {}, e, Mode.PRIMARY) if primary is None else primary
     try:
         je = erased_judgment(e, erased)
     except TypeCheckError:

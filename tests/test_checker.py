@@ -500,3 +500,15 @@ def test_memo_is_refused_with_coverage():
     # A memo hit counts no rules, so the two cannot be combined.
     with pytest.raises(ValueError):
         typecheck(EMPTY, {}, parse_expr("(add1 1)"), memo={}, coverage={})
+
+
+def test_judgment_is_immutable_and_compares_by_its_fields():
+    j = check("(lambda (x : Top) (number? x))")
+    with pytest.raises(AttributeError):
+        j.type = T("Number")
+    with pytest.raises(AttributeError):
+        j.pred = TT
+    same = Judgment(T("(-> Top Boolean : Number)"), TT)
+    assert j == same and hash(j) == hash(same)
+    assert j != Judgment(j.type, FF) and j != Judgment(T("Top"), j.pred)
+    assert len({j, same, Judgment(j.type, FF)}) == 2

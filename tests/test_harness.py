@@ -14,6 +14,7 @@ import pytest
 
 import otlc.cli as cli
 import otlc.harness as harness
+import otlc.refine as refine
 import otlc.semantics as semantics
 from otlc.checker import Mode, TypeCheckError, typecheck
 from otlc.harness import (
@@ -97,29 +98,32 @@ STREAM_SHA256 = {
 
 
 @functools.cache
-def _stream(refinements: bool) -> tuple[str, ...]:
+def _stream(refinements: bool) -> tuple:
     delta = BOTH if refinements else EMPTY
-    return tuple(print_expr(gen_typed_term(random.Random(f"stream:{i}"), 6, delta))
-                 for i in range(300))
+    return tuple(gen_typed_term(random.Random(f"stream:{i}"), 6, delta) for i in range(300))
 
 
 @pytest.mark.parametrize("refinements", [False, True])
 def test_generator_stream_is_pinned(refinements):
     h = hashlib.sha256()
     for term in _stream(refinements):
-        h.update(term.encode() + b"\n")
+        h.update(print_expr(term).encode() + b"\n")
     assert h.hexdigest() == STREAM_SHA256[refinements]
+
+
+@pytest.mark.parametrize("refinements", [False, True])
+def test_stream_terms_typecheck_in_the_primary_rules(refinements):
+    # `gen_typed_term` takes no judgment of its own: the generator is
+    # checked here, and by the judgment `run_fuzz` takes of every term.
+    delta = BOTH if refinements else EMPTY
+    for term in _stream(refinements):
+        typecheck(delta, {}, term, Mode.PRIMARY)  # must not raise
 
 
 @pytest.mark.parametrize("c", REFINING, ids=lambda c: c.value)
 def test_refinement_stream_mentions_every_refinement(c):
     # Annotations and parity guards are drawn from every predicate of Δ.
-    assert any(f"(Refinement {c.value})" in term for term in _stream(True))
-
-
-def test_coverage_is_keyword_only():
-    with pytest.raises(TypeError):
-        gen_typed_term(random.Random(0), 5, BOTH, True)
+    assert any(f"(Refinement {c.value})" in print_expr(term) for term in _stream(True))
 
 
 def test_gen_rejects_bad_depth():
@@ -127,24 +131,73 @@ def test_gen_rejects_bad_depth():
         gen_typed_term(random.Random(0), 0, EMPTY)
 
 
+def test_draw_is_the_choices_draw():
+    # `_draw` replaces `rng.choices(range(4), left)[0]` in `_Gen.expr`: on
+    # every deck reachable in _BUILDER_TRIES draws it picks the same card
+    # and consumes the same random numbers.
+    start = tuple(harness._BUILDERS.values())
+    decks = [tuple(n - k.count(i) for i, n in enumerate(start))
+             for tries in range(harness._BUILDER_TRIES)
+             for k in itertools.combinations_with_replacement(range(len(start)), tries)]
+    assert len(decks) == len(set(decks)) == 330
+    for seed in range(200):
+        a, b = random.Random(seed), random.Random(seed)
+        for deck in decks:
+            assert harness._draw(a, list(deck)) == b.choices(range(len(deck)), deck)[0]
+        assert a.getstate() == b.getstate()
+
+
+def _recording_gen(monkeypatch) -> list:
+    """Make `harness.gen_typed_term` record the terms it returns, in order."""
+    terms = []
+    real = harness.gen_typed_term
+
+    def gen(*args):
+        terms.append(real(*args))
+        return terms[-1]
+
+    monkeypatch.setattr(harness, "gen_typed_term", gen)
+    return terms
+
+
 @pytest.mark.parametrize("refinements", [False, True])
-def test_gen_coverage_is_the_returned_terms_judgment(refinements):
+def test_run_fuzz_coverage_is_the_generated_terms_judgments(monkeypatch, refinements):
     delta = BOTH if refinements else EMPTY
-    got, want = {"T-Num": 3}, {"T-Num": 3}
-    for i in range(60):
-        e = gen_typed_term(random.Random(f"cov:{i}"), 5, delta, coverage=got)
-        assert e == gen_typed_term(random.Random(f"cov:{i}"), 5, delta)
+    terms = _recording_gen(monkeypatch)
+    rep = run_fuzz(FuzzConfig(count=60, seed=11, max_depth=5, with_refinements=refinements))
+    assert len(terms) == 60 and not rep.failures
+    want: dict = {}
+    for e in terms:
         typecheck(delta, {}, e, Mode.PRIMARY, coverage=want)
-    assert got == want
+    assert rep.coverage == want
 
 
-def test_gen_raises_on_an_ill_typed_term(monkeypatch):
+@pytest.mark.parametrize("refinements", [False, True])
+def test_run_fuzz_takes_one_primary_judgment_per_term(monkeypatch, refinements):
+    # The judgment `run_fuzz` takes is handed to the erasure check, which
+    # derives none of its own.
+    terms = _recording_gen(monkeypatch)
+    judged = []
+
+    def spy(delta, g, e, mode=Mode.PRIMARY, **kw):
+        if mode is Mode.PRIMARY and kw.get("constants") is None:
+            judged.append(e)
+        return typecheck(delta, g, e, mode, **kw)
+
+    monkeypatch.setattr(harness, "typecheck", spy)
+    monkeypatch.setattr(refine, "typecheck", spy)
+    rep = run_fuzz(FuzzConfig(count=200, seed=12, with_refinements=refinements))
+    assert len(terms) == 200 and not rep.failures
+    assert [sum(x is e for x in judged) for e in terms] == [1] * 200
+
+
+def test_run_fuzz_raises_on_an_ill_typed_term(monkeypatch):
     # Terms are well typed by construction, so an ill-typed one is a
     # generator bug: it must surface, not be retried or replaced.
     monkeypatch.setattr(harness._Gen, "expr",
                         lambda *args: parse_expr("(add1 #t)"))
     with pytest.raises(TypeCheckError):
-        gen_typed_term(random.Random(0), 5, EMPTY)
+        run_fuzz(FuzzConfig(count=5, seed=1))
 
 
 def _nodes(e) -> int:
@@ -402,7 +455,7 @@ def _script_failures(monkeypatch):
     terms = itertools.count()
     round_trips = itertools.count()
 
-    def check(e, fuel, delta):
+    def check(e, fuel, delta, primary=None):
         if e is shrunk:  # the shrunk term passes, so the first verdicts stand
             return []
         i = next(terms)

@@ -41,6 +41,7 @@ from otlc.syntax import (
 )
 
 EVEN = frozenset({Constant.EVEN_P})
+CORPUS = sorted(Path(__file__).parent.glob("corpus/*.lts"))
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +148,7 @@ def test_delta_is_moot_without_refinements(mode):
     # parity test and, in the extended rules, to the type of a numeric
     # literal.  A plain term has none of the first two, and erasing its
     # extended judgment under Δ undoes the third.
-    programs = [parse_program(p.read_text(encoding="utf-8"))
-                for p in sorted((Path(__file__).parent / "corpus").glob("*.lts"))]
+    programs = [parse_program(p.read_text(encoding="utf-8")) for p in CORPUS]
     terms = [e for decls, e in programs if not decls]
     terms += [gen_typed_term(random.Random(f"moot:{i}"), 6, frozenset()) for i in range(300)]
     plain = [e for e in terms if not re.search(r"Refinement|even\?|odd\?", print_expr(e))]
@@ -191,6 +191,31 @@ def test_erased_judgment_holds_is_identity_without_refinements(src):
     e = parse_expr(src)
     assert erase_expr(e) == e
     assert erased_judgment_holds(frozenset(), e)
+
+
+def _assert_given_judgment_agrees(delta, e):
+    j = typecheck(delta, {}, e, Mode.PRIMARY)
+    erased = erase_expr(e)
+    assert erased_judgment_holds(delta, e, erased, j) == erased_judgment_holds(delta, e, erased)
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
+def test_erased_judgment_holds_agrees_given_the_primary_judgment_on_the_corpus(path):
+    declared, e = parse_program(path.read_text(encoding="utf-8"))
+    delta = frozenset(declared or REFINING)
+    try:
+        typecheck(delta, {}, e, Mode.PRIMARY)
+    except TypeCheckError:  # no judgment to hand on
+        with pytest.raises(TypeCheckError):
+            erased_judgment_holds(delta, e)
+        return
+    _assert_given_judgment_agrees(delta, e)
+
+
+def test_erased_judgment_holds_agrees_given_the_primary_judgment_on_generated_terms():
+    for i in range(500):
+        e = gen_typed_term(random.Random(f"given:{i}"), 6, frozenset(REFINING))
+        _assert_given_judgment_agrees(frozenset(REFINING), e)
 
 
 def test_erased_judgment_uses_erased_constant_types():
