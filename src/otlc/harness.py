@@ -10,8 +10,10 @@ commutes with reduction and preserves typability.
 The generator neither vets nor filters its terms, and judges only in the
 primary rules: which predicates survive substitution is for the checker's
 extended rules to say, under the term's own Δ.  `run_fuzz` takes each
-term's primary judgment once, counting its rules, and hands it to the
-erasure check.
+term's primary judgment once, counting its rules, and hands it to
+`check_subject_reduction`, which derives no judgment itself.  The
+shrinker hands each candidate's judgment in likewise and hands back the
+failures of the last check that found any, so no term is checked twice.
 """
 
 from __future__ import annotations
@@ -335,23 +337,16 @@ def gen_typed_term(rng: random.Random, max_depth: int, delta: frozenset) -> Expr
 # Subject reduction
 
 
-def _is_base(t) -> bool:
-    # A normal union has no union members.
-    return all(isinstance(m, (NumT, TrueT, FalseT, Refine))
-               for m in (t.members if isinstance(t, UnionT) else (t,)))
-
-
 def check_subject_reduction(e: Expr, fuel: int, delta: frozenset,
-                            primary: Judgment | None = None) -> list[FuzzFailure]:
-    """Per-step verdicts for one primary-typed closed term; empty list
-    means every clause held.  Each term of the run is judged by the
-    extended rules under `delta`.  A non-empty `delta` adds the erasure
-    clauses, which compare with `e`'s primary judgment: `primary`, as
-    `run_fuzz` took it, or derived by `erased_judgment_holds`.  The terms
-    of a run share most of their nodes, so the run is judged with one
-    memo and erased with another, both kept valid by `tr`, which holds
-    every node alive: each closed node is judged once, and each node
-    erased once."""
+                            primary: Judgment) -> list[FuzzFailure]:
+    """Per-step verdicts for one closed term whose judgment in the primary
+    rules under `delta` is `primary`; empty list means every clause held.
+    Each term of the run is judged by the extended rules under `delta`.
+    A non-empty `delta` adds the erasure clauses, which compare with
+    `primary`.  The terms of a run share most of their nodes, so the run
+    is judged with one memo and erased with another, both kept valid by
+    `tr`, which holds every node alive: each closed node is judged once,
+    and each node erased once."""
     delta = frozenset(delta)
     failures: list[FuzzFailure] = []
 
@@ -383,7 +378,7 @@ def check_subject_reduction(e: Expr, fuel: int, delta: frozenset,
             fail("progress", len(tr) - 1, f"stuck: {reason}")
         case FuelExhausted():
             fail("fuel-exhausted", len(tr) - 1, f"no value after {fuel} steps")
-        case Value() if _is_base(judgments[0].type):
+        case Value() if subtype(judgments[0].type, NUM_OR_BOOL):
             if not subtype(judgments[-1].type, judgments[0].type):
                 fail("soundness", len(tr) - 1, "final value type exceeds the initial type")
             if not is_subpred(judgments[-1].pred, judgments[0].pred):
@@ -392,7 +387,7 @@ def check_subject_reduction(e: Expr, fuel: int, delta: frozenset,
     if delta:
         erasures: dict = {}
         erased = [erase_expr(t, erasures) for t in tr]
-        if not erased_judgment_holds(delta, e, erased[0], primary):
+        if not erased_judgment_holds(primary, erased[0]):
             fail("erased-typing", 0, "erased term does not carry the erased judgment")
         # The erased run must be the erased chain, term by term and no
         # longer.  A term with nothing to erase runs as itself: `trace` is
@@ -436,12 +431,21 @@ def _replace(e: Expr, pos: int, repl: Expr) -> Expr:
     return fold(e, visit, visit)
 
 
-def shrink_failure(e: Expr, delta: frozenset, still_fails, budget: int = 200) -> Expr:
-    """Greedily replace subterms with literals while the term stays
-    primary-typed and `still_fails` keeps holding.  `budget` caps the
-    number of `still_fails` evaluations (each one re-runs the reduction
-    chain, so unbounded shrinking can dominate a fuzz run)."""
+# The most checks `shrink_failure` runs on one failing term: each re-runs
+# the reduction chain, so unbounded shrinking could dominate a fuzz run.
+SHRINK_BUDGET = 200
+
+
+def shrink_failure(e: Expr, failures: list[FuzzFailure], delta: frozenset,
+                   check) -> tuple[Expr, list[FuzzFailure]]:
+    """Greedily replace subterms of `e`, whose `check` found `failures`,
+    with literals while the term stays primary-typed under `delta` and
+    `check(term, judgment)`, given the term's primary judgment, still
+    finds failures.  Returns the minimal term with the failures its check
+    found, `e` with `failures` if no candidate fails, after at most
+    `SHRINK_BUDGET` checks."""
     candidates = (Num(0), Bool(True), Bool(False))
+    budget = SHRINK_BUDGET
     changed = True
     # A literal has nothing left to shrink.
     while changed and budget > 0 and not isinstance(e, (Num, Bool)):
@@ -452,19 +456,19 @@ def shrink_failure(e: Expr, delta: frozenset, still_fails, budget: int = 200) ->
                 if cand == e:
                     continue
                 try:
-                    typecheck(delta, {}, cand, Mode.PRIMARY)
+                    j = typecheck(delta, {}, cand, Mode.PRIMARY)
                 except TypeCheckError:
                     continue
                 budget -= 1
-                if still_fails(cand):
-                    e = cand
+                if found := check(cand, j):
+                    e, failures = cand, found
                     changed = True
                     break
                 if budget <= 0:
-                    return e
+                    return e, failures
             if changed:
                 break
-    return e
+    return e, failures
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +480,10 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
     start = time.monotonic()
     delta = frozenset(REFINING if config.with_refinements else ())
     report = FuzzReport(seed=config.seed)
+
+    def check(t: Expr, j: Judgment) -> list[FuzzFailure]:
+        return check_subject_reduction(t, config.fuel, delta, j)
+
     for i in range(config.count):
         rng = random.Random(f"{config.seed}:{i}")
         e = gen_typed_term(rng, config.max_depth, delta)
@@ -487,12 +495,7 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
                 FuzzFailure("roundtrip", print_expr(e), 0,
                             "printing then parsing changed the term"))
 
-        fails = check_subject_reduction(e, config.fuel, delta, primary=j)
-        if fails:
-            def still_fails(t):
-                return bool(check_subject_reduction(t, config.fuel, delta))
-
-            minimal = shrink_failure(e, delta, still_fails)
-            report.failures += check_subject_reduction(minimal, config.fuel, delta) or fails
+        if fails := check(e, j):
+            report.failures += shrink_failure(e, fails, delta, check)[1]
     report.elapsed_ms = (time.monotonic() - start) * 1000.0
     return report

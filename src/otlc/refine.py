@@ -74,19 +74,16 @@ def erase_pred(p: Pred) -> Pred:
     return p
 
 
-def erased_judgment(e: Expr, erased: Expr | None = None) -> Judgment:
-    """Type the erased closed term, with constants typed at their erased
-    types.  `erased`, when given, is `erase_expr(e)`, already built."""
-    return typecheck(frozenset(), {}, erase_expr(e) if erased is None else erased,
-                     Mode.PRIMARY, constants=ERASED_CONSTANT_TYPES)
+def erased_judgment(erased: Expr) -> Judgment:
+    """Type the erased closed term `erased`, with constants typed at their
+    erased types."""
+    return typecheck(frozenset(), {}, erased, Mode.PRIMARY, constants=ERASED_CONSTANT_TYPES)
 
 
-def erased_judgment_holds(delta: frozenset, e: Expr, erased: Expr | None = None,
-                          primary: Judgment | None = None) -> bool:
-    """Check that erasing a well-typed closed term yields a judgment at
-    least as strong as the erasure of its judgment.  `erased`, when
-    given, is `erase_expr(e)`, already built, and `primary` is `e`'s
-    judgment in the primary rules under `delta`, already derived.
+def erased_judgment_holds(primary: Judgment, erased: Expr) -> bool:
+    """Check that `erased`, the erasure of a closed term whose primary
+    judgment is `primary`, carries a judgment at least as strong as the
+    erasure of `primary`.
 
     Strict equality does not hold in general: erasure can make type-test
     narrowing sharper (for example remove(Number, (Refinement odd?)) is
@@ -94,10 +91,9 @@ def erased_judgment_holds(delta: frozenset, e: Expr, erased: Expr | None = None,
     so the erased derivation may conclude a subtype of the erased type and
     a sub-predicate of the erased predicate.
     """
-    j = typecheck(frozenset(delta), {}, e, Mode.PRIMARY) if primary is None else primary
     try:
-        je = erased_judgment(e, erased)
+        je = erased_judgment(erased)
     except TypeCheckError:
         return False
-    return (subtype(je.type, erase_type(j.type))
-            and is_subpred(je.pred, erase_pred(j.pred)))
+    return (subtype(je.type, erase_type(primary.type))
+            and is_subpred(je.pred, erase_pred(primary.pred)))

@@ -436,12 +436,11 @@ def _is_ident(atom: str) -> bool:
             and not _is_integer(atom))
 
 
-# The types and predicates spelled by one word, and back.
+# The types spelled by one word, and back, and the predicates printed as one.
 _TYPE_ATOMS = {"Top": TOP, "Number": NUM, "True": TRUE_T, "False": FALSE_T,
                "Boolean": BOOLEAN, "Bot": BOT}
 _TYPE_NAMES = {t: name for name, t in _TYPE_ATOMS.items()}
-_PRED_ATOMS = {"tt": TT, "ff": FF, "none": NONE_PRED}
-_PRED_NAMES = {p: name for name, p in _PRED_ATOMS.items()}
+_PRED_NAMES = {TT: "tt", FF: "ff", NONE_PRED: "none"}
 
 RESERVED_WORDS = {"lambda", "if", "U", "->", "Refinement", "declare-refinement", *_TYPE_ATOMS}
 
@@ -567,22 +566,6 @@ class _Reader:
             self.fail("expected a type", last=True)
         return t
 
-    # -- predicates
-
-    def read_pred(self) -> Pred:
-        tok = self.peek()
-        if tok in _PRED_ATOMS:
-            self.next()
-            return _PRED_ATOMS[tok]
-        # A lone identifier is a variable predicate; otherwise a type
-        # followed by "@ x".
-        if _is_ident(tok) and tok != "@" and self.toks[self.pos + 1] == "":
-            self.next()
-            return VarPred(tok)
-        t = self.read_type()
-        self.expect("@")
-        return TypeOfPred(t, self.read_ident())
-
 
 def _read_all(text: str, read):
     r = _Reader(text)
@@ -597,10 +580,6 @@ def parse_expr(text: str) -> Expr:
 
 def parse_type(text: str) -> Type:
     return _read_all(text, _Reader.read_type)
-
-
-def parse_pred(text: str) -> Pred:
-    return _read_all(text, _Reader.read_pred)
 
 
 def parse_program(text: str) -> tuple[tuple[Constant, ...], Expr]:

@@ -23,11 +23,11 @@ from otlc.subtyping import CONSTANT_TYPES, subtype
 from otlc.syntax import (
     Constant,
     FF,
+    NONE_PRED,
     TT,
     TypeOfPred,
     VarPred,
     parse_expr,
-    parse_pred,
     parse_type,
     print_expr,
     print_pred,
@@ -56,7 +56,7 @@ def test_criterion_1_golden_judgments():
     assert print_type(j2.type) == "(-> (U Number Boolean) (U Number Boolean))"
     # the branch environments behind that judgment
     g = {"x": parse_type("(U Number Boolean)")}
-    p = parse_pred("Number @ x")
+    p = TypeOfPred(parse_type("Number"), "x")
     assert env_plus(g, p) == {"x": parse_type("Number")}
     assert env_minus(g, p) == {"x": parse_type("Boolean")}
 
@@ -158,28 +158,30 @@ def test_criterion_6_oracle_equivalence():
 
 
 def test_criterion_7_combfilter_clauses():
-    P = parse_pred
+    def P(t, x):
+        return TypeOfPred(parse_type(t), x)
+
     # clause 1: equal branch predicates
-    assert combfilter(P("Number @ x"), VarPred("z"), VarPred("z")) == \
+    assert combfilter(P("Number", "x"), VarPred("z"), VarPred("z")) == \
         VarPred("z")
     # clause 2: union of facts about one variable
-    assert combfilter(P("Number @ x"), TT, P("Boolean @ x")) == \
+    assert combfilter(P("Number", "x"), TT, P("Boolean", "x")) == \
         TypeOfPred(parse_type("(U Number Boolean)"), "x")
     # clause 3: true test
-    assert combfilter(TT, P("Number @ y"), FF) == P("Number @ y")
+    assert combfilter(TT, P("Number", "y"), FF) == P("Number", "y")
     # clause 4: false test
-    assert combfilter(FF, P("Number @ y"), P("Boolean @ z")) == \
-        P("Boolean @ z")
+    assert combfilter(FF, P("Number", "y"), P("Boolean", "z")) == \
+        P("Boolean", "z")
     # clause 5: branches reflect the test
-    assert combfilter(P("Number @ x"), TT, FF) == P("Number @ x")
+    assert combfilter(P("Number", "x"), TT, FF) == P("Number", "x")
     # clause 6: fallthrough
-    assert combfilter(P("Number @ x"), P("Boolean @ x"), VarPred("y")) == \
-        parse_pred("none")
+    assert combfilter(P("Number", "x"), P("Boolean", "x"), VarPred("y")) == \
+        NONE_PRED
 
 
 def test_criterion_7_env_ops_worked_example():
     g = {"x": parse_type("(U Number Boolean)")}
-    p = parse_pred("Number @ x")
+    p = TypeOfPred(parse_type("Number"), "x")
     assert env_plus(g, p) == {"x": parse_type("Number")}
     assert env_minus(g, p) == {"x": parse_type("Boolean")}
     assert env_minus({"x": parse_type("Top")}, VarPred("x")) == \

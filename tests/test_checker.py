@@ -26,7 +26,6 @@ from otlc.syntax import (
     VarPred,
     is_value,
     parse_expr,
-    parse_pred,
     parse_type,
     print_pred,
     print_type,
@@ -41,8 +40,9 @@ def T(s):
     return parse_type(s)
 
 
-def P(s):
-    return parse_pred(s)
+def P(t, x):
+    """The predicate that variable `x` is of type `t`."""
+    return TypeOfPred(parse_type(t), x)
 
 
 def check(src, mode=Mode.PRIMARY, env=None, delta=EMPTY):
@@ -105,12 +105,12 @@ def test_restrict_remove_partition_unions():
 
 def test_env_plus_typeof():
     g = {"x": T("(U Number Boolean)")}
-    assert env_plus(g, P("Number @ x")) == {"x": T("Number")}
+    assert env_plus(g, P("Number", "x")) == {"x": T("Number")}
 
 
 def test_env_minus_typeof():
     g = {"x": T("(U Number Boolean)")}
-    assert env_minus(g, P("Number @ x")) == {"x": T("Boolean")}
+    assert env_minus(g, P("Number", "x")) == {"x": T("Boolean")}
 
 
 def test_env_plus_varp_removes_false():
@@ -133,8 +133,8 @@ def test_env_ops_identity_on_tt_ff_none(p):
 
 def test_env_ops_do_not_mutate():
     g = {"x": T("(U Number Boolean)")}
-    env_plus(g, P("Number @ x"))
-    env_minus(g, P("Number @ x"))
+    env_plus(g, P("Number", "x"))
+    env_minus(g, P("Number", "x"))
     assert g == {"x": T("(U Number Boolean)")}
 
 
@@ -143,38 +143,38 @@ def test_env_ops_do_not_mutate():
 
 
 def test_combfilter_clause1_equal_branches():
-    assert combfilter(P("Number @ x"), VarPred("z"), VarPred("z")) == VarPred("z")
+    assert combfilter(P("Number", "x"), VarPred("z"), VarPred("z")) == VarPred("z")
 
 
 def test_combfilter_clause1_up_to_normalize():
-    assert combfilter(TT, P("(U True False) @ x"), P("Boolean @ x")) == \
+    assert combfilter(TT, P("(U True False)", "x"), P("Boolean", "x")) == \
         TypeOfPred(T("Boolean"), "x")
 
 
 def test_combfilter_clause2_union_of_facts():
-    got = combfilter(P("Number @ x"), TT, P("Boolean @ x"))
+    got = combfilter(P("Number", "x"), TT, P("Boolean", "x"))
     assert got == TypeOfPred(T("(U Number Boolean)"), "x")
 
 
 def test_combfilter_clause2_requires_same_variable():
-    assert combfilter(P("Number @ x"), TT, P("Boolean @ y")) == NONE_PRED
+    assert combfilter(P("Number", "x"), TT, P("Boolean", "y")) == NONE_PRED
 
 
 def test_combfilter_clause3_true_test():
-    assert combfilter(TT, P("Number @ y"), FF) == P("Number @ y")
+    assert combfilter(TT, P("Number", "y"), FF) == P("Number", "y")
 
 
 def test_combfilter_clause4_false_test():
-    assert combfilter(FF, P("Number @ y"), P("Boolean @ z")) == P("Boolean @ z")
+    assert combfilter(FF, P("Number", "y"), P("Boolean", "z")) == P("Boolean", "z")
 
 
 def test_combfilter_clause5_boolean_reflection():
-    assert combfilter(P("Number @ x"), TT, FF) == P("Number @ x")
+    assert combfilter(P("Number", "x"), TT, FF) == P("Number", "x")
     assert combfilter(VarPred("x"), TT, FF) == VarPred("x")
 
 
 def test_combfilter_clause6_fallthrough():
-    assert combfilter(P("Number @ x"), P("Boolean @ x"), VarPred("y")) == NONE_PRED
+    assert combfilter(P("Number", "x"), P("Boolean", "x"), VarPred("y")) == NONE_PRED
 
 
 # ---------------------------------------------------------------------------
@@ -182,25 +182,25 @@ def test_combfilter_clause6_fallthrough():
 
 
 @pytest.mark.parametrize("p,q,expected", [
-    (TT, P("Number @ x"), True),
+    (TT, P("Number", "x"), True),
     (FF, TT, False),
-    (P("Number @ x"), NONE_PRED, True),
+    (P("Number", "x"), NONE_PRED, True),
     (TT, TT, True),
     (FF, FF, True),
     (TT, FF, False),
-    (FF, P("Number @ x"), True),
+    (FF, P("Number", "x"), True),
     (VarPred("x"), VarPred("x"), True),
     (VarPred("x"), VarPred("y"), False),
     (NONE_PRED, TT, False),
-    (P("Number @ x"), P("Number @ x"), True),
-    (P("Number @ x"), P("Boolean @ x"), False),
+    (P("Number", "x"), P("Number", "x"), True),
+    (P("Number", "x"), P("Boolean", "x"), False),
 ])
 def test_subpred(p, q, expected):
     assert is_subpred(p, q) is expected
 
 
 def test_subpred_typeof_up_to_normalize():
-    assert is_subpred(P("(U True False) @ x"), P("Boolean @ x"))
+    assert is_subpred(P("(U True False)", "x"), P("Boolean", "x"))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +327,7 @@ def test_abs_without_fact_has_no_latent():
 
 def test_apppred_turns_latent_into_fact():
     j = check("(number? x)", env={"x": T("Top")})
-    assert j.pred == P("Number @ x")
+    assert j.pred == P("Number", "x")
 
 
 def test_app_without_latent_has_no_fact():
@@ -393,7 +393,7 @@ def test_extended_app_keeps_variable_fact():
     # A latent applied to a variable yields the per-variable fact in both
     # modes, even when the variable's type already decides the test.
     j = check("(number? x)", Mode.EXTENDED, env={"x": T("Number")})
-    assert j.pred == P("Number @ x")
+    assert j.pred == P("Number", "x")
 
 
 def test_if_joins_branch_types():
@@ -487,7 +487,7 @@ def test_result_pred_mentions_only_free_vars():
     j = check("(lambda (x : Top) (number? x))")
     assert j.pred == TT  # x is bound; no fact about it may escape
     j2 = check("(if (number? x) #t #f)", env={"x": T("Top")})
-    assert j2.pred == P("Number @ x")
+    assert j2.pred == P("Number", "x")
 
 
 def test_typecheck_deterministic():

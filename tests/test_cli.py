@@ -5,6 +5,7 @@ import json
 import pytest
 
 from otlc.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from otlc.subtyping import subtype
 
 
 @pytest.fixture
@@ -328,10 +329,10 @@ def test_deep_lambda_tower_checks(program, capsys):
 
 @pytest.mark.parametrize("depth", [200, 800, 1000, 1100])
 def test_deep_arrow_checked_against_its_annotation(program, capsys, depth):
-    # The subtype check recurses as deep as the annotation it checks against,
-    # which the type reader has already read by recursion: a λ tower passed
-    # to a parameter annotated with its own arrow type exits as the
-    # annotation alone does.  Where the reader gives up depends on the
+    # A λ tower passed to a parameter annotated with its own arrow type
+    # exits as the annotation alone does, only because hash-consing makes
+    # the tower's type and the annotation one object, which `subtype`
+    # accepts without recursing.  Where the reader gives up depends on the
     # stack already in use, so only the ends of the range are pinned.
     annotated = "(lambda (f : " + "(-> Number " * depth + "Number" + ")" * depth + ") 0)"
     tower = ("".join(f"(lambda (x{i} : Number) " for i in range(depth)) + "x0"
@@ -341,6 +342,29 @@ def test_deep_arrow_checked_against_its_annotation(program, capsys, depth):
     capsys.readouterr()
     assert applied == alone
     assert alone == {200: EXIT_OK, 1100: EXIT_USAGE}.get(depth, alone)
+
+
+def _nested_arrows(depth, base):
+    """`depth` nested (-> (U Number …) Number) around `base`."""
+    return "(-> (U Number " * depth + base + ") Number)" * depth
+
+
+@pytest.mark.parametrize("depth,code", [(50, EXIT_FAILURE), (100, EXIT_USAGE)])
+def test_deep_subtype_check(program, capsys, depth, code):
+    # Two different types are compared level by level, at five Python
+    # frames a level, so `subtype` overflows on types a tenth as deep as
+    # the reader takes.  A warm cache would answer without recursing.
+    subtype.cache_clear()
+    s, s2 = _nested_arrows(depth, "Number"), _nested_arrows(depth, "True")
+    path = program(f"((lambda (f : (-> {s2} Number)) 0) (lambda (g : {s}) 0))")
+    assert main(["check", path]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    if code == EXIT_USAGE:
+        assert err == f"{path}: input nested too deeply\n"
+    else:
+        assert err.startswith("type error: T-App: argument type")
 
 
 def test_deep_lambda_tower_passed_to_top_checks(program, capsys):

@@ -57,7 +57,7 @@ def test_deep_tower_subject_reduction(tower):
     # Every step is judged; the only verdict is that two steps of fuel do
     # not reach the value.
     _, _, e = tower
-    fails = check_subject_reduction(e, 2, EMPTY)
+    fails = check_subject_reduction(e, 2, EMPTY, typecheck(EMPTY, {}, e, Mode.PRIMARY))
     assert [(f.kind, f.step, f.detail) for f in fails] == [
         ("fuel-exhausted", 2, "no value after 2 steps")]
 
@@ -66,7 +66,8 @@ def test_deep_tower_subject_reduction_with_refinements(tower):
     # The erasure clauses too: erasure commutation compares the erased run
     # with the erased chain by `==`, term by term.
     _, _, e = tower
-    fails = check_subject_reduction(e, 2, REFINING)
+    delta = frozenset(REFINING)
+    fails = check_subject_reduction(e, 2, delta, typecheck(delta, {}, e, Mode.PRIMARY))
     assert [(f.kind, f.step, f.detail) for f in fails] == [
         ("fuel-exhausted", 2, "no value after 2 steps")]
 

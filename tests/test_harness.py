@@ -233,6 +233,11 @@ def test_generated_terms_are_not_trivial(refinements, min_nodes, min_steps):
 # subject reduction on hand-picked terms
 
 
+def _subject_reduction(e, fuel, delta):
+    """`check_subject_reduction` on `e`, handed its primary judgment under `delta`."""
+    return check_subject_reduction(e, fuel, delta, typecheck(delta, {}, e, Mode.PRIMARY))
+
+
 @pytest.mark.parametrize("src", [
     "((lambda (x : (U Number Boolean)) (if (number? x) (add1 x) 0)) 5)",
     "((lambda (x : (U Number Boolean)) (if (number? x) (add1 x) 0)) #f)",
@@ -240,28 +245,36 @@ def test_generated_terms_are_not_trivial(refinements, min_nodes, min_steps):
     "((lambda (x : Top) (if (boolean? x) #t (number? x))) 7)",
 ])
 def test_subject_reduction_holds(src):
-    assert check_subject_reduction(parse_expr(src), 100, EMPTY) == []
+    assert _subject_reduction(parse_expr(src), 100, EMPTY) == []
 
 
 def test_subject_reduction_refinements():
     src = ("((lambda (f : (-> (Refinement even?) Number)) "
            "((lambda (n : Number) (if (even? n) (f n) n)) 4)) "
            "(lambda (m : (Refinement even?)) (add1 m)))")
-    assert check_subject_reduction(parse_expr(src), 100, BOTH) == []
+    assert _subject_reduction(parse_expr(src), 100, BOTH) == []
 
 
-def test_subject_reduction_flags_ill_terms():
+def test_subject_reduction_flags_ill_terms(monkeypatch):
     # An untypeable chain is reported before the progress check fires.
-    fails = check_subject_reduction(parse_expr("(add1 #t)"), 10, EMPTY)
-    assert fails and fails[0].kind == "preservation"
+    # The term itself is typed, so force an untypeable step 1, (add1 #t),
+    # by a δ that takes (add1 40) to #t.
+    real_apply = semantics.apply_constant
+
+    def broken_apply(c, v):
+        return Bool(True) if c == Constant.ADD1 and v == Num(40) else real_apply(c, v)
+
+    monkeypatch.setattr(semantics, "apply_constant", broken_apply)
+    fails = _subject_reduction(parse_expr("(add1 (add1 40))"), 10, EMPTY)
+    assert [(f.kind, f.step) for f in fails] == [("preservation", 1)]
     assert "untypeable" in fails[0].detail
 
 
 def test_subject_reduction_flags_fuel_exhaustion():
     e = parse_expr("(add1 (add1 (add1 1)))")
-    fails = check_subject_reduction(e, 1, frozenset())
+    fails = _subject_reduction(e, 1, frozenset())
     assert [f.kind for f in fails] == ["fuel-exhausted"]
-    assert check_subject_reduction(e, 1000, frozenset()) == []
+    assert _subject_reduction(e, 1000, frozenset()) == []
 
 
 def test_subject_reduction_flags_stuck_terms(monkeypatch):
@@ -275,7 +288,7 @@ def test_subject_reduction_flags_stuck_terms(monkeypatch):
         return real_apply(c, v)
 
     monkeypatch.setattr(semantics, "apply_constant", broken_apply)
-    fails = check_subject_reduction(parse_expr("(add1 (add1 40))"), 10, EMPTY)
+    fails = _subject_reduction(parse_expr("(add1 (add1 40))"), 10, EMPTY)
     assert any(f.kind == "progress" for f in fails)
 
 
@@ -288,7 +301,7 @@ def test_subject_reduction_flags_erasure_that_does_not_commute(monkeypatch, src,
         return Num(41) if e == Num(42) else real_erase(e, memo)
 
     monkeypatch.setattr(harness, "erase_expr", bad_erase)
-    fails = check_subject_reduction(parse_expr(src), 10, BOTH)
+    fails = _subject_reduction(parse_expr(src), 10, BOTH)
     assert [(f.kind, f.step) for f in fails] == [("erasure-commutation", at)]
 
 
@@ -306,7 +319,7 @@ def test_subject_reduction_erases_the_term_once(monkeypatch, delta, calls):
 
     monkeypatch.setattr(harness, "erase_expr", counting_erase)
     e = parse_expr("(add1 (add1 1))")
-    assert check_subject_reduction(e, 10, delta) == []
+    assert _subject_reduction(e, 10, delta) == []
     assert len(erased) == calls
     assert erased == trace(e, 10)[0][:calls]
     assert [t is e for t in erased] == [True, False, False][:calls]
@@ -338,7 +351,11 @@ def test_subject_reduction_erases_the_term_once(monkeypatch, delta, calls):
      BOTH),
 ], ids=["class-A", "class-B", "compound-operand", "class-C", "bot-operator", "class-D"])
 def test_closed_gap(src, delta):
-    assert check_subject_reduction(parse_expr(src), 100, delta) == []
+    # The bot-operator term has no primary judgment; under the empty Δ no
+    # clause reads the judgment handed in, so the extended one stands in.
+    e = parse_expr(src)
+    j = typecheck(delta, {}, e, Mode.PRIMARY if delta else Mode.EXTENDED)
+    assert check_subject_reduction(e, 100, delta, j) == []
 
 
 def test_base_generation_judges_in_the_primary_rules_only(monkeypatch):
@@ -451,13 +468,10 @@ _SCRIPTED = [(["progress", "preservation"], False), (["erasure-commutation"], Tr
 
 def _script_failures(monkeypatch):
     """Make the next six-term `run_fuzz` find the failures of `_SCRIPTED`."""
-    shrunk = object()
     terms = itertools.count()
     round_trips = itertools.count()
 
-    def check(e, fuel, delta, primary=None):
-        if e is shrunk:  # the shrunk term passes, so the first verdicts stand
-            return []
+    def check(e, fuel, delta, primary):
         i = next(terms)
         return [FuzzFailure(kind, f"t{i}", i, f"{kind} in t{i}") for kind in _SCRIPTED[i][0]]
 
@@ -465,7 +479,9 @@ def _script_failures(monkeypatch):
         return None if _SCRIPTED[next(round_trips)][1] else parse_expr(text)
 
     monkeypatch.setattr(harness, "check_subject_reduction", check)
-    monkeypatch.setattr(harness, "shrink_failure", lambda e, delta, still_fails: shrunk)
+    # Nothing shrinks, so the first verdicts stand.
+    monkeypatch.setattr(harness, "shrink_failure",
+                        lambda e, failures, delta, check: (e, failures))
     monkeypatch.setattr(harness, "parse_expr", parse)
 
 
@@ -511,29 +527,36 @@ def test_coverage_counts_rules():
 
 def test_shrink_preserves_failure_and_typing():
     # A stuck-but-typeable shape cannot be generated, so drive the
-    # shrinker directly with a synthetic predicate.
+    # shrinker directly with a synthetic check, which is handed each
+    # candidate's primary judgment.
     e = parse_expr("(if #t (add1 (add1 40)) 0)")
 
-    def still_fails(t):
+    def check(t, j):
+        assert j == typecheck(EMPTY, {}, t, Mode.PRIMARY)
         out = evaluate(t, 100)
-        return isinstance(out, Value) and out.v == parse_expr("42")
+        return [print_expr(t)] if isinstance(out, Value) and out.v == parse_expr("42") else []
 
-    small = shrink_failure(e, EMPTY, still_fails)
-    assert still_fails(small)
+    small, fails = shrink_failure(e, ["the unshrunk failure"], EMPTY, check)
+    assert fails == [print_expr(small)]
     assert len(print_expr(small)) <= len(print_expr(e))
-    typecheck(EMPTY, {}, small, Mode.PRIMARY)
 
 
-def test_shrink_respects_budget():
+def test_shrink_keeps_the_failures_when_nothing_shrinks():
+    e = parse_expr("(add1 (add1 40))")
+    assert shrink_failure(e, ["original"], EMPTY, lambda t, j: []) == (e, ["original"])
+
+
+def test_shrink_respects_budget(monkeypatch):
     calls = 0
 
-    def probe(t):
+    def probe(t, j):
         nonlocal calls
         calls += 1
-        return True
+        return ["still failing"]
 
+    monkeypatch.setattr(harness, "SHRINK_BUDGET", 7)
     shrink_failure(parse_expr("(if (number? 1) (add1 1) (add1 2))"),
-                   EMPTY, probe, budget=7)
+                   ["failing"], EMPTY, probe)
     assert calls <= 7
 
 
@@ -548,3 +571,66 @@ def test_swapped_if_branches_are_detected(monkeypatch):
 
     rep = run_fuzz(FuzzConfig(count=250, seed=4))
     assert rep.all_failures(), "mutated semantics went unnoticed"
+
+
+# The shrunk failures of 60 terms of seed 4 under swapped `if` branches, per
+# mode: their count, the first one, and the sha256 of the JSON of them all.
+_SHRUNK_UNDER_SWAPPED_IFS = {
+    False: (24, {
+        "kind": "preservation",
+        "term": "(if #t (if #f ((lambda (v1 : Number) #f) 26) #t) #f)",
+        "step": 1,
+        "detail": "type widened from (if #t (if #f ((lambda (v1 : Number) #f) 26) #t) #f) to #f",
+    }, "30b9c357fa12ba39a8f41d2f2460be7e51a96eaf79b3868323c3a34bbba67161"),
+    True: (30, {
+        "kind": "preservation",
+        "term": "(if 0 0 ((lambda (v5 : Boolean) #f) (if (if ((lambda (v6 : (-> (Refinement odd?) "
+                "Number)) #f) add1) #f (if #t #t #t)) (if #t ((lambda (v7 : (-> Top Boolean)) #f) "
+                "number?) (if #t #f #t)) (if (if #f #t #f) (not #f) #f))))",
+        "step": 1,
+        "detail": "type widened from (if 0 0 ((lambda (v5 : Boolean) #f) (if (if ((lambda (v6 : "
+                  "(-> (Refinement odd?) Number)) #f) add1) #f (if #t #t #t)) (if #t ((lambda (v7 : "
+                  "(-> Top Boolean)) #f) number?) (if #t #f #t)) (if (if #f #t #f) (not #f) #f)))) "
+                  "to ((lambda (v5 : Boolean) #f) (if (if ((lambda (v6 : (-> (Refinement odd?) "
+                  "Number)) #f) add1) #f (if #t #t #t)) (if #t ((lambda (v7 : (-> Top Boolean)) #f) "
+                  "number?) (if #t #f #t)) (if (if #f #t #f) (not #f) #f)))",
+    }, "d6d7cf5c7f2772ed49a89335b6e5296eebb1c1fd8ad136e45123d69a59212f20"),
+}
+
+
+@pytest.mark.parametrize("refinements", [False, True], ids=["base", "refinements"])
+def test_shrunk_failures_under_swapped_if_branches(monkeypatch, refinements):
+    # The reports of a broken semantics pin the shrinker's path byte for byte.
+    real_is_false = semantics._is_false
+    monkeypatch.setattr(semantics, "_is_false", lambda v: not real_is_false(v))
+
+    rep = run_fuzz(FuzzConfig(count=60, seed=4, with_refinements=refinements))
+    failures = rep.to_dict()["failures"]
+    count, first, digest = _SHRUNK_UNDER_SWAPPED_IFS[refinements]
+    assert (len(failures), failures[0]) == (count, first)
+    assert hashlib.sha256(json.dumps(failures).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("refinements", [False, True], ids=["base", "refinements"])
+def test_run_fuzz_checks_each_term_once(monkeypatch, refinements):
+    # Once per generated term and once per shrink candidate: a shrunk
+    # term's failures are those its candidate check found.
+    real_is_false = semantics._is_false
+    monkeypatch.setattr(semantics, "_is_false", lambda v: not real_is_false(v))
+    checked, candidates = [], []
+
+    def spy(e, fuel, delta, primary):
+        checked.append(e)
+        return check_subject_reduction(e, fuel, delta, primary)
+
+    def counting_shrink(e, failures, delta, check):
+        def counted(t, j):
+            candidates.append(t)
+            return check(t, j)
+        return shrink_failure(e, failures, delta, counted)
+
+    monkeypatch.setattr(harness, "check_subject_reduction", spy)
+    monkeypatch.setattr(harness, "shrink_failure", counting_shrink)
+    rep = run_fuzz(FuzzConfig(count=20, seed=4, with_refinements=refinements))
+    assert rep.failures and candidates
+    assert len(checked) == 20 + len(candidates)

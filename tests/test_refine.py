@@ -25,14 +25,16 @@ from otlc.syntax import (
     Bool,
     Constant,
     If,
+    NUM,
     Num,
+    Refine,
     TT,
+    TypeOfPred,
     apply_constant,
     fold,
     free_vars,
     is_value,
     parse_expr,
-    parse_pred,
     parse_program,
     parse_type,
     print_expr,
@@ -71,8 +73,8 @@ def test_erase_expr_rewrites_only_annotations():
 
 
 def test_erase_pred():
-    p = parse_pred("(Refinement even?) @ x")
-    assert erase_pred(p) == parse_pred("Number @ x")
+    p = TypeOfPred(Refine(Constant.EVEN_P), "x")
+    assert erase_pred(p) == TypeOfPred(NUM, "x")
     assert erase_pred(TT) == TT
 
 
@@ -168,18 +170,23 @@ EVEN_CONSUMER = ("(lambda (f : (-> (Refinement even?) Number)) "
                  "(lambda (n : Number) (if (even? n) (f n) n)))")
 
 
+def _holds(delta, e):
+    """Whether `e`'s erasure carries the erasure of its primary judgment under `delta`."""
+    return erased_judgment_holds(typecheck(delta, {}, e, Mode.PRIMARY), erase_expr(e))
+
+
 def test_erased_judgment_of_even_consumer():
-    je = erased_judgment(parse_expr(EVEN_CONSUMER))
+    je = erased_judgment(erase_expr(parse_expr(EVEN_CONSUMER)))
     assert print_type(je.type) == "(-> (-> Number Number) (-> Number Number))"
 
 
 def test_erased_judgment_holds_even_consumer():
-    assert erased_judgment_holds(EVEN, parse_expr(EVEN_CONSUMER))
+    assert _holds(EVEN, parse_expr(EVEN_CONSUMER))
 
 
 def test_erased_judgment_holds_simple_refinement_if():
     e = parse_expr("(lambda (n : Number) (if (even? n) n n))")
-    assert erased_judgment_holds(EVEN, e)
+    assert _holds(EVEN, e)
 
 
 @pytest.mark.parametrize("src", [
@@ -190,32 +197,7 @@ def test_erased_judgment_holds_simple_refinement_if():
 def test_erased_judgment_holds_is_identity_without_refinements(src):
     e = parse_expr(src)
     assert erase_expr(e) == e
-    assert erased_judgment_holds(frozenset(), e)
-
-
-def _assert_given_judgment_agrees(delta, e):
-    j = typecheck(delta, {}, e, Mode.PRIMARY)
-    erased = erase_expr(e)
-    assert erased_judgment_holds(delta, e, erased, j) == erased_judgment_holds(delta, e, erased)
-
-
-@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
-def test_erased_judgment_holds_agrees_given_the_primary_judgment_on_the_corpus(path):
-    declared, e = parse_program(path.read_text(encoding="utf-8"))
-    delta = frozenset(declared or REFINING)
-    try:
-        typecheck(delta, {}, e, Mode.PRIMARY)
-    except TypeCheckError:  # no judgment to hand on
-        with pytest.raises(TypeCheckError):
-            erased_judgment_holds(delta, e)
-        return
-    _assert_given_judgment_agrees(delta, e)
-
-
-def test_erased_judgment_holds_agrees_given_the_primary_judgment_on_generated_terms():
-    for i in range(500):
-        e = gen_typed_term(random.Random(f"given:{i}"), 6, frozenset(REFINING))
-        _assert_given_judgment_agrees(frozenset(REFINING), e)
+    assert _holds(frozenset(), e)
 
 
 def test_erased_judgment_uses_erased_constant_types():

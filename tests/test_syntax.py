@@ -19,14 +19,11 @@ from otlc.syntax import (
     Num,
     ParseError,
     Refine,
-    TypeOfPred,
     UnionT,
     Var,
-    VarPred,
     free_vars,
     is_value,
     parse_expr,
-    parse_pred,
     parse_program,
     parse_type,
     print_expr,
@@ -65,14 +62,6 @@ def test_parse_types():
     assert parse_type("(-> Top Boolean : Number)") == Arrow(TOP, BOOLEAN, NUM)
     assert parse_type("(Refinement even?)") == Refine(Constant.EVEN_P)
     assert parse_type("(U)") == UnionT(())
-
-
-def test_parse_preds():
-    assert parse_pred("tt").__class__.__name__ == "TruePred"
-    assert parse_pred("ff").__class__.__name__ == "FalsePred"
-    assert parse_pred("none").__class__.__name__ == "NonePred"
-    assert parse_pred("x") == VarPred("x")
-    assert parse_pred("Number @ x") == TypeOfPred(NUM, "x")
 
 
 def test_parse_program_directives():
