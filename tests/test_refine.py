@@ -200,6 +200,39 @@ def test_erased_judgment_holds_is_identity_without_refinements(src):
     assert _holds(frozenset(), e)
 
 
+def _assert_given_judgment_agrees(delta, e):
+    """The verdict on the judgment and erasure a fuzz run hands down (the
+    judgment taken with a coverage count, the erasure through a memo shared
+    across the reduction run) is the verdict on a fresh derivation and a
+    fresh erasure, and the erasure lemma holds."""
+    given = typecheck(delta, {}, e, Mode.PRIMARY, coverage={})
+    erasures: dict = {}
+    erased = [erase_expr(t, erasures) for t in trace(e, 50)[0]][0]
+    verdict = erased_judgment_holds(given, erased)
+    assert verdict == erased_judgment_holds(typecheck(delta, {}, e, Mode.PRIMARY),
+                                            erase_expr(e))
+    assert verdict
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
+def test_erased_judgment_holds_agrees_given_the_primary_judgment_on_the_corpus(path):
+    declared, e = parse_program(path.read_text(encoding="utf-8"))
+    delta = frozenset(declared or REFINING)
+    try:
+        typecheck(delta, {}, e, Mode.PRIMARY)
+    except TypeCheckError:  # no judgment to hand on, and none for the erasure
+        with pytest.raises(TypeCheckError):
+            erased_judgment(erase_expr(e))
+        return
+    _assert_given_judgment_agrees(delta, e)
+
+
+def test_erased_judgment_holds_agrees_given_the_primary_judgment_on_generated_terms():
+    for i in range(500):
+        e = gen_typed_term(random.Random(f"given:{i}"), 6, frozenset(REFINING))
+        _assert_given_judgment_agrees(frozenset(REFINING), e)
+
+
 def test_erased_judgment_uses_erased_constant_types():
     # even? itself is typed at its erased table entry in the erased system,
     # so a λ that applies it to its parameter is a test for Number.
