@@ -31,7 +31,6 @@ from .syntax import (
     App,
     Bool,
     Const,
-    Constant,
     Arrow,
     Expr,
     FalsePred,
@@ -162,7 +161,6 @@ def typecheck(
     e: Expr,
     mode: Mode = Mode.PRIMARY,
     coverage: dict[str, int] | None = None,
-    constants: dict[Constant, Arrow] | None = None,
     memo: dict[int, Judgment] | None = None,
 ) -> Judgment:
     """Derive the type and visible predicate of `e` under `g`, with an
@@ -170,20 +168,20 @@ def typecheck(
 
     T-Abs rejects an annotation naming a refinement outside `delta`, the
     declared refinement predicates.  `coverage`, when given, counts how
-    often each typing rule fires.  `constants` gives the type of each
-    constant; by default it is the table under `delta`, `constant_types`.
+    often each typing rule fires.  Each constant has its type in the
+    table under `delta`, `constant_types`.
 
     `memo`, when given, holds by `id` the judgment of each node reached
     under the empty environment, which under a closed root is each node
     outside every binder, so the node alone is the key.  Errors are not
-    stored.  Share a memo only between calls with the same `delta`, `mode`
-    and `constants`, and only while every node it names is alive.  A hit
-    counts no rules, so `memo` and `coverage` exclude each other.
+    stored.  Share a memo only between calls with the same `delta` and
+    `mode`, and only while every node it names is alive.  A hit counts no
+    rules, so `memo` and `coverage` exclude each other.
     """
     if memo is not None and coverage is not None:
         raise ValueError("typecheck: a memo hit counts no rules; pass memo or coverage, not both")
     delta = frozenset(delta)
-    constants = constant_types(delta) if constants is None else constants
+    constants = constant_types(delta)
     extended = mode is Mode.EXTENDED
 
     # One frame per judgment waiting on a premise: (the rule the premise is

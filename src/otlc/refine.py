@@ -1,27 +1,25 @@
-"""Refinement erasure: the erasure homomorphisms, the erased constant
-table, and the erased-judgment check.
+"""Refinement erasure: the erasure homomorphisms on types and terms.
 
-Erasure deletes every refinement constructor from types, annotations and
-predicates.  It reduces soundness of the refined system to soundness of
-the base system: an erased well-typed term is well-typed at the erased
-type, and erasure commutes with reduction.
+Erasure deletes every refinement constructor from types and annotations.
+It commutes with reduction: the run of an erased term is the erasure of
+the term's run, term by term.  It does not carry typability over: a
+refinement can make a branch dead that the base system must still type,
+so the erasure of a well-typed term need not check under the empty Δ.
+The refined system's soundness is checked directly, by judging each term
+of a run in the extended rules under Δ (`otlc.harness`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .checker import Judgment, Mode, TypeCheckError, is_subpred, typecheck
-from .subtyping import CONSTANT_TYPES, refinement_base, subtype
+from .subtyping import refinement_base
 from .syntax import (
     Abs,
     Arrow,
-    Constant,
     Expr,
-    Pred,
     Refine,
     Type,
-    TypeOfPred,
     UnionT,
     _rebuild,
     fold,
@@ -43,16 +41,6 @@ def erase_type(t: Type) -> Type:
             return t
 
 
-# The erased judgment types each constant at the erasure of its type, so
-# it keeps the parity latents, erased to Number: it checks erasure
-# structurally.  That leaves even? claiming to be a test for Number, which
-# the evaluator contradicts, (even? 99) being #f, and the erasure lemma
-# (`erased_judgment_holds`) rests on this table.  Reduction chains are
-# judged by the extended rules under Δ, whose latents agree with δ.
-ERASED_CONSTANT_TYPES: dict[Constant, Arrow] = {
-    c: erase_type(t) for c, t in CONSTANT_TYPES.items()}
-
-
 def _erase_node(e: Expr, kids: list) -> Expr:
     e = _rebuild(e, kids)
     if e.__class__ is Abs and (annot := erase_type(e.annot)) is not e.annot:
@@ -66,34 +54,3 @@ def erase_expr(e: Expr, memo: dict | None = None) -> Expr:
     terms of a run while they are alive, erases each node once, so a node
     the terms share is erased to one shared node."""
     return fold(e, lambda x: x, _erase_node, memo)
-
-
-def erase_pred(p: Pred) -> Pred:
-    if isinstance(p, TypeOfPred):
-        return TypeOfPred(erase_type(p.type), p.var)
-    return p
-
-
-def erased_judgment(erased: Expr) -> Judgment:
-    """Type the erased closed term `erased`, with constants typed at their
-    erased types."""
-    return typecheck(frozenset(), {}, erased, Mode.PRIMARY, constants=ERASED_CONSTANT_TYPES)
-
-
-def erased_judgment_holds(primary: Judgment, erased: Expr) -> bool:
-    """Check that `erased`, the erasure of a closed term whose primary
-    judgment is `primary`, carries a judgment at least as strong as the
-    erasure of `primary`.
-
-    Strict equality does not hold in general: erasure can make type-test
-    narrowing sharper (for example remove(Number, (Refinement odd?)) is
-    Number, while its erasure remove(Number, Number) is the empty union),
-    so the erased derivation may conclude a subtype of the erased type and
-    a sub-predicate of the erased predicate.
-    """
-    try:
-        je = erased_judgment(erased)
-    except TypeCheckError:
-        return False
-    return (subtype(je.type, erase_type(primary.type))
-            and is_subpred(je.pred, erase_pred(primary.pred)))

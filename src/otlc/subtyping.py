@@ -7,8 +7,7 @@ declared usable as refinement predicates: Δ is a well-formedness condition
 on annotations, checked where a type is written (T-Abs, `undeclared`), and
 it chooses the constant table (`constant_types`), so a judgment under Δ
 meets no refinement outside it.  `CONSTANT_TYPES` is the table under every
-refining constant; `REFINING` and the erased table of `otlc.refine` are
-derived from it.
+refining constant; `REFINING` is derived from it.
 """
 
 from __future__ import annotations

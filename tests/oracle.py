@@ -36,7 +36,6 @@ from otlc.syntax import (
     Constant,
     Expr,
     FalseT,
-    FalsePred,
     If,
     Num,
     NonePred,
@@ -44,7 +43,6 @@ from otlc.syntax import (
     Refine,
     TopT,
     TrueT,
-    TruePred,
     TypeOfPred,
     UnionT,
     Var,

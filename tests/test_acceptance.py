@@ -143,8 +143,7 @@ def test_criterion_5_erasure_lemmas():
 
 
 def test_criterion_6_oracle_equivalence():
-    from oracle import derive
-    from test_checker_oracle import GAMMA, agree, depth2_terms, random_terms
+    from test_checker_oracle import agree, depth2_terms, random_terms
 
     for mode in (Mode.PRIMARY, Mode.EXTENDED):
         for e in depth2_terms():

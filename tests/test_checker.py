@@ -17,7 +17,6 @@ from otlc.checker import (
 )
 from otlc.subtyping import subtype
 from otlc.syntax import (
-    BOT,
     Constant,
     FF,
     NONE_PRED,

@@ -63,7 +63,7 @@ def test_deep_tower_subject_reduction(tower):
 
 
 def test_deep_tower_subject_reduction_with_refinements(tower):
-    # The erasure clauses too: erasure commutation compares the erased run
+    # The erasure-commutation clause too: it compares the erased run
     # with the erased chain by `==`, term by term.
     _, _, e = tower
     delta = frozenset(REFINING)

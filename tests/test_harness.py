@@ -14,13 +14,11 @@ import pytest
 
 import otlc.cli as cli
 import otlc.harness as harness
-import otlc.refine as refine
 import otlc.semantics as semantics
-from otlc.checker import Mode, TypeCheckError, typecheck
+from otlc.checker import Judgment, Mode, TypeCheckError, typecheck
 from otlc.harness import (
     FuzzConfig,
     FuzzFailure,
-    FuzzReport,
     check_subject_reduction,
     gen_typed_term,
     run_fuzz,
@@ -29,6 +27,8 @@ from otlc.harness import (
 from otlc.semantics import Value, evaluate, trace
 from otlc.subtyping import REFINING
 from otlc.syntax import (
+    FALSE_T,
+    FF,
     Abs,
     App,
     Bool,
@@ -174,18 +174,17 @@ def test_run_fuzz_coverage_is_the_generated_terms_judgments(monkeypatch, refinem
 
 @pytest.mark.parametrize("refinements", [False, True])
 def test_run_fuzz_takes_one_primary_judgment_per_term(monkeypatch, refinements):
-    # The judgment `run_fuzz` takes is handed to the erasure check, which
-    # derives none of its own.
+    # The judgment `run_fuzz` takes is handed to `check_subject_reduction`,
+    # which derives none of its own.
     terms = _recording_gen(monkeypatch)
     judged = []
 
     def spy(delta, g, e, mode=Mode.PRIMARY, **kw):
-        if mode is Mode.PRIMARY and kw.get("constants") is None:
+        if mode is Mode.PRIMARY:
             judged.append(e)
         return typecheck(delta, g, e, mode, **kw)
 
     monkeypatch.setattr(harness, "typecheck", spy)
-    monkeypatch.setattr(refine, "typecheck", spy)
     rep = run_fuzz(FuzzConfig(count=200, seed=12, with_refinements=refinements))
     assert len(terms) == 200 and not rep.failures
     assert [sum(x is e for x in judged) for e in terms] == [1] * 200
@@ -255,6 +254,19 @@ def test_subject_reduction_refinements():
     assert _subject_reduction(parse_expr(src), 100, BOTH) == []
 
 
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
+def test_subject_reduction_holds_on_the_corpus(path):
+    # Every clause, erasure commutation under the file's Δ among them, on
+    # each corpus program that has a primary judgment to hand on.
+    declared, e = parse_program(path.read_text(encoding="utf-8"))
+    delta = frozenset(declared or REFINING)
+    try:
+        j = typecheck(delta, {}, e, Mode.PRIMARY)
+    except TypeCheckError:  # an ill-typed program has nothing to check
+        return
+    assert check_subject_reduction(e, 1000, delta, j) == []
+
+
 def test_subject_reduction_flags_ill_terms(monkeypatch):
     # An untypeable chain is reported before the progress check fires.
     # The term itself is typed, so force an untypeable step 1, (add1 #t),
@@ -290,6 +302,15 @@ def test_subject_reduction_flags_stuck_terms(monkeypatch):
     monkeypatch.setattr(semantics, "apply_constant", broken_apply)
     fails = _subject_reduction(parse_expr("(add1 (add1 40))"), 10, EMPTY)
     assert any(f.kind == "progress" for f in fails)
+
+
+@pytest.mark.parametrize("delta", [EMPTY, BOTH], ids=["EMPTY", "BOTH"])
+def test_subject_reduction_flags_an_extended_judgment_above_the_primary(delta):
+    # Mode monotonicity: handed a primary judgment below the term's own
+    # extended one, the check reports exactly that, at step 0.
+    fails = check_subject_reduction(Bool(True), 10, delta, Judgment(FALSE_T, FF))
+    assert fails == [FuzzFailure("monotonicity", "#t", 0,
+                                 "extended judgment True ; tt is not below the primary False ; ff")]
 
 
 @pytest.mark.parametrize("src,at", [("(add1 41)", 0), ("(add1 (add1 40))", 1)])
@@ -463,7 +484,7 @@ def test_report_json_schema():
 # whether its print/parse round trip fails.
 _SCRIPTED = [(["progress", "preservation"], False), (["erasure-commutation"], True),
              ([], False), (["soundness", "fuel-exhausted"], False),
-             (["erased-typing"], True), (["preservation"], False)]
+             (["monotonicity"], True), (["preservation"], False)]
 
 
 def _script_failures(monkeypatch):
@@ -492,11 +513,11 @@ def test_report_lists_failures_by_bucket(monkeypatch):
     assert got == [
         ("preservation", 0, "preservation in t0"),
         ("soundness", 3, "soundness in t3"),
+        ("monotonicity", 4, "monotonicity in t4"),
         ("preservation", 5, "preservation in t5"),
         ("progress", 0, "progress in t0"),
         ("fuel-exhausted", 3, "fuel-exhausted in t3"),
         ("erasure-commutation", 1, "erasure-commutation in t1"),
-        ("erased-typing", 4, "erased-typing in t4"),
         ("roundtrip", 0, "printing then parsing changed the term"),
         ("roundtrip", 0, "printing then parsing changed the term"),
     ]
@@ -508,9 +529,9 @@ def test_fuzz_cli_counts_failures_by_bucket(monkeypatch):
     with contextlib.redirect_stdout(out):
         assert cli.main(["fuzz", "--count", "6", "--seed", "1"]) == cli.EXIT_FAILURE
     assert out.getvalue().splitlines()[1:5] == [
-        "preservation failures: 3",
+        "preservation failures: 4",
         "progress failures:     2",
-        "erasure failures:      2",
+        "erasure failures:      1",
         "round-trip failures:   2",
     ]
 

@@ -1,5 +1,5 @@
-"""The erasure homomorphisms, the erased judgments, and Δ on programs
-without refinements."""
+"""The erasure homomorphisms, erasure commutation, the constant tables
+under Δ, and Δ on programs without refinements."""
 
 import itertools
 import random
@@ -9,15 +9,8 @@ from pathlib import Path
 import pytest
 
 from otlc.checker import Mode, TypeCheckError, typecheck
-from otlc.harness import gen_typed_term
-from otlc.refine import (
-    ERASED_CONSTANT_TYPES,
-    erase_expr,
-    erase_pred,
-    erase_type,
-    erased_judgment,
-    erased_judgment_holds,
-)
+from otlc.harness import check_subject_reduction, gen_typed_term
+from otlc.refine import erase_expr, erase_type
 from otlc.semantics import Stepped, Value, evaluate, step, trace
 from otlc.subtyping import REFINING, constant_types, subtype
 from otlc.syntax import (
@@ -25,11 +18,7 @@ from otlc.syntax import (
     Bool,
     Constant,
     If,
-    NUM,
     Num,
-    Refine,
-    TT,
-    TypeOfPred,
     apply_constant,
     fold,
     free_vars,
@@ -42,7 +31,7 @@ from otlc.syntax import (
     print_type,
 )
 
-EVEN = frozenset({Constant.EVEN_P})
+BOTH = frozenset(REFINING)
 CORPUS = sorted(Path(__file__).parent.glob("corpus/*.lts"))
 
 
@@ -70,12 +59,6 @@ def test_erase_expr_rewrites_only_annotations():
         "(lambda (f : (-> Number Number)) f)"
     plain = parse_expr("(if (even? 2) 1 0)")
     assert erase_expr(plain) == plain
-
-
-def test_erase_pred():
-    p = TypeOfPred(Refine(Constant.EVEN_P), "x")
-    assert erase_pred(p) == TypeOfPred(NUM, "x")
-    assert erase_pred(TT) == TT
 
 
 def test_erase_idempotent():
@@ -149,7 +132,7 @@ def test_delta_is_moot_without_refinements(mode):
     # matters to an annotation that names a refinement, to the latent of a
     # parity test and, in the extended rules, to the type of a numeric
     # literal.  A plain term has none of the first two, and erasing its
-    # extended judgment under Δ undoes the third.
+    # extended type under Δ undoes the third.
     programs = [parse_program(p.read_text(encoding="utf-8")) for p in CORPUS]
     terms = [e for decls, e in programs if not decls]
     terms += [gen_typed_term(random.Random(f"moot:{i}"), 6, frozenset()) for i in range(300)]
@@ -158,35 +141,8 @@ def test_delta_is_moot_without_refinements(mode):
     for e in plain:
         verdict = _verdict(frozenset(REFINING), e, mode)
         if mode is Mode.EXTENDED and isinstance(verdict, tuple):
-            verdict = erase_type(verdict[0]), erase_pred(verdict[1])
+            verdict = erase_type(verdict[0]), verdict[1]
         assert _verdict(frozenset(), e, mode) == verdict
-
-
-# ---------------------------------------------------------------------------
-# erased judgments
-
-
-EVEN_CONSUMER = ("(lambda (f : (-> (Refinement even?) Number)) "
-                 "(lambda (n : Number) (if (even? n) (f n) n)))")
-
-
-def _holds(delta, e):
-    """Whether `e`'s erasure carries the erasure of its primary judgment under `delta`."""
-    return erased_judgment_holds(typecheck(delta, {}, e, Mode.PRIMARY), erase_expr(e))
-
-
-def test_erased_judgment_of_even_consumer():
-    je = erased_judgment(erase_expr(parse_expr(EVEN_CONSUMER)))
-    assert print_type(je.type) == "(-> (-> Number Number) (-> Number Number))"
-
-
-def test_erased_judgment_holds_even_consumer():
-    assert _holds(EVEN, parse_expr(EVEN_CONSUMER))
-
-
-def test_erased_judgment_holds_simple_refinement_if():
-    e = parse_expr("(lambda (n : Number) (if (even? n) n n))")
-    assert _holds(EVEN, e)
 
 
 @pytest.mark.parametrize("src", [
@@ -194,74 +150,62 @@ def test_erased_judgment_holds_simple_refinement_if():
     "(add1 5)",
     "(if #t 1 2)",
 ])
-def test_erased_judgment_holds_is_identity_without_refinements(src):
+def test_erase_expr_is_identity_without_refinements(src):
     e = parse_expr(src)
     assert erase_expr(e) == e
-    assert _holds(frozenset(), e)
-
-
-def _assert_given_judgment_agrees(delta, e):
-    """The verdict on the judgment and erasure a fuzz run hands down (the
-    judgment taken with a coverage count, the erasure through a memo shared
-    across the reduction run) is the verdict on a fresh derivation and a
-    fresh erasure, and the erasure lemma holds."""
-    given = typecheck(delta, {}, e, Mode.PRIMARY, coverage={})
-    erasures: dict = {}
-    erased = [erase_expr(t, erasures) for t in trace(e, 50)[0]][0]
-    verdict = erased_judgment_holds(given, erased)
-    assert verdict == erased_judgment_holds(typecheck(delta, {}, e, Mode.PRIMARY),
-                                            erase_expr(e))
-    assert verdict
-
-
-@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
-def test_erased_judgment_holds_agrees_given_the_primary_judgment_on_the_corpus(path):
-    declared, e = parse_program(path.read_text(encoding="utf-8"))
-    delta = frozenset(declared or REFINING)
-    try:
-        typecheck(delta, {}, e, Mode.PRIMARY)
-    except TypeCheckError:  # no judgment to hand on, and none for the erasure
-        with pytest.raises(TypeCheckError):
-            erased_judgment(erase_expr(e))
-        return
-    _assert_given_judgment_agrees(delta, e)
-
-
-def test_erased_judgment_holds_agrees_given_the_primary_judgment_on_generated_terms():
-    for i in range(500):
-        e = gen_typed_term(random.Random(f"given:{i}"), 6, frozenset(REFINING))
-        _assert_given_judgment_agrees(frozenset(REFINING), e)
-
-
-def test_erased_judgment_uses_erased_constant_types():
-    # even? itself is typed at its erased table entry in the erased system,
-    # so a λ that applies it to its parameter is a test for Number.
-    je = erased_judgment(parse_expr("(lambda (n : Number) (even? n))"))
-    assert print_type(je.type) == "(-> Number Boolean : Number)"
 
 
 # ---------------------------------------------------------------------------
-# the erased constant table, and the constant tables under Δ
+# refined typability does not carry over to the erasure
 
 
-def _extended(constants, src):
-    j = typecheck(frozenset(), {}, parse_expr(src), Mode.EXTENDED, constants=constants)
+def _judged(src, mode, delta=frozenset()):
+    j = typecheck(delta, {}, parse_expr(src), mode)
     return f"{print_type(j.type)} ; {print_pred(j.pred)}"
 
 
-def test_erased_latent_of_even_is_inexact_on_values():
-    # Under the erased table even? claims to test for Number, so the
-    # extended rules decide (even? 99) true; the evaluator says #f.
+# The two smallest fuzzed shapes whose erasure has no judgment under the
+# empty Δ below the erasure of their own: the test (even? x) on an even x
+# makes the branch x dead, and the base system must still type it.
+DEAD_BRANCH = "(lambda (x : (Refinement even?)) ((lambda (b : Boolean) x) (if (even? x) #f x)))"
+DEAD_BRANCH_RESULT = "(lambda (x : (Refinement even?)) (if (even? x) #f x))"
+
+
+def test_a_dead_branch_types_in_the_refined_system_only():
+    assert _judged(DEAD_BRANCH, Mode.PRIMARY, BOTH) == "(-> (Refinement even?) (Refinement even?)) ; tt"
+    with pytest.raises(TypeCheckError, match=r"\(U Boolean Number\) is not a subtype of Boolean"):
+        typecheck(frozenset(), {}, erase_expr(parse_expr(DEAD_BRANCH)), Mode.PRIMARY)
+
+
+def test_a_dead_branch_widens_the_erased_result():
+    assert _judged(DEAD_BRANCH_RESULT, Mode.PRIMARY, BOTH) == "(-> (Refinement even?) Boolean) ; tt"
+    erased = print_expr(erase_expr(parse_expr(DEAD_BRANCH_RESULT)))
+    assert _judged(erased, Mode.PRIMARY) == "(-> Number (U Boolean Number)) ; tt"
+
+
+@pytest.mark.parametrize("shape", [DEAD_BRANCH, DEAD_BRANCH_RESULT])
+def test_a_dead_branch_applied_to_an_even_number_reduces_soundly(shape):
+    # The primary rules type 4 as Number, so (shape 4) is reached through a
+    # parity guard; the extended rules judge every term of its run.
+    e = parse_expr(f"((lambda (n : Number) (if (even? n) ({shape} n) 0)) 4)")
+    assert App(parse_expr(shape), Num(4)) in trace(e, 100)[0]
+    assert check_subject_reduction(e, 100, BOTH, typecheck(BOTH, {}, e, Mode.PRIMARY)) == []
+
+
+# ---------------------------------------------------------------------------
+# the constant tables under Δ
+
+
+def test_parity_test_on_a_value_is_undecided_under_the_empty_delta():
+    # Under the empty Δ even? is a plain predicate with no latent, so the
+    # extended rules leave (even? 99) undecided; the evaluator says #f.
     assert evaluate(parse_expr("(even? 99)"), 10) == Value(Bool(False))
-    assert _extended(ERASED_CONSTANT_TYPES, "(even? 99)") == "Boolean ; tt"
-    assert _extended(constant_types(frozenset()), "(even? 99)") == "Boolean ; none"
+    assert _judged("(even? 99)", Mode.EXTENDED) == "Boolean ; none"
 
 
 def test_chain_table_gives_parity_tests_no_variable_predicate():
     # Under the empty Δ even? is a plain predicate, so a λ applying it is no test.
-    src = "(lambda (n : Number) (even? n))"
-    assert _extended(ERASED_CONSTANT_TYPES, src) == "(-> Number Boolean : Number) ; tt"
-    assert _extended(constant_types(frozenset()), src) == "(-> Number Boolean) ; tt"
+    assert _judged("(lambda (n : Number) (even? n))", Mode.EXTENDED) == "(-> Number Boolean) ; tt"
 
 
 # Values of every kind: numbers of both parities, the Booleans, each
@@ -270,16 +214,16 @@ VALUES = [*map(str, range(-10, 11)), "#t", "#f", *(c.value for c in Constant),
           "(lambda (x : Top) x)"]
 
 
-def _latent_disagreements(delta, constants):
+def _latent_disagreements(delta):
     """Each application (c v) where v's extended type fits c's argument type
     and is below c's latent, but δ answers #f, or the other way round."""
     found = []
-    for c, t in constants.items():
+    for c, t in constant_types(delta).items():
         if t.latent is None:
             continue
         for src in VALUES:
             v = parse_expr(src)
-            vt = typecheck(delta, {}, v, Mode.EXTENDED, constants=constants).type
+            vt = typecheck(delta, {}, v, Mode.EXTENDED).type
             if subtype(vt, t.arg) and subtype(vt, t.latent) != (apply_constant(c, v) == Bool(True)):
                 found.append(f"({c.value} {src})")
     return found
@@ -293,15 +237,7 @@ SUBSETS = [frozenset(s) for n in range(len(REFINING) + 1)
 def test_latents_agree_with_delta(delta):
     # A value's extended type is exact in kind, so it is below a latent
     # exactly when the test answers #t; extended T-AppPredFalse rests on it.
-    assert _latent_disagreements(delta, constant_types(delta)) == []
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ERASED_CONSTANT_TYPES gives even? and odd? the latent Number, but "
-                   "(even? -9) is #f; the erasure lemma, that an erased well-typed term "
-                   "carries the erased judgment (erased_judgment_holds), rests on this table")
-def test_erased_latents_agree_with_delta():
-    assert _latent_disagreements(frozenset(), ERASED_CONSTANT_TYPES) == []
+    assert _latent_disagreements(delta) == []
 
 
 # ---------------------------------------------------------------------------

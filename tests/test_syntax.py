@@ -27,7 +27,6 @@ from otlc.syntax import (
     parse_program,
     parse_type,
     print_expr,
-    print_pred,
     print_type,
     substitute,
 )
