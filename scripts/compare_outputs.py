@@ -4,6 +4,8 @@ script sits in, so two versions of otlc can be compared byte for byte.
 
 The document holds the stdout, stderr and exit code of `otlc check`,
 `check --extended`, `eval` and `trace` on every file of `tests/corpus`,
+and of `eval --fuel 0`, `eval --fuel 1`, `trace --fuel 1` and `eval
+--unchecked` there, which read back stuck and out-of-fuel terms,
 the `run_fuzz` reports, without `elapsed_ms`, of 400 terms for seeds 1-3
 in base and refinement mode, and the reports of 250 terms for seeds 1-5
 in both modes under broken semantics, the `if` rule's branches swapped,
@@ -31,7 +33,9 @@ from otlc.cli import main  # noqa: E402
 from otlc.harness import FuzzConfig, run_fuzz  # noqa: E402
 
 COMMANDS = {"check": ["check"], "check --extended": ["check", "--extended"],
-            "eval": ["eval"], "trace": ["trace"]}
+            "eval": ["eval"], "trace": ["trace"],
+            "eval --fuel 0": ["eval", "--fuel", "0"], "eval --fuel 1": ["eval", "--fuel", "1"],
+            "trace --fuel 1": ["trace", "--fuel", "1"], "eval --unchecked": ["eval", "--unchecked"]}
 
 
 def run_cli(argv: list[str]) -> dict:

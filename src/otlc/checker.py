@@ -22,7 +22,6 @@ from .syntax import (
     FALSE_T,
     FF,
     NONE_PRED,
-    NonePred,
     NUM,
     TOP,
     TRUE_T,
@@ -33,11 +32,9 @@ from .syntax import (
     Const,
     Arrow,
     Expr,
-    FalsePred,
     If,
     Num,
     Pred,
-    TruePred,
     Type,
     TypeOfPred,
     UnionT,
@@ -130,33 +127,31 @@ def combfilter(p1: Pred, p2: Pred, p3: Pred) -> Pred:
     First matching clause wins."""
     if p2 == p3:
         return p2
-    if (isinstance(p1, TypeOfPred) and isinstance(p2, TruePred)
+    if (isinstance(p1, TypeOfPred) and p2 is TT
             and isinstance(p3, TypeOfPred) and p1.var == p3.var):
         return TypeOfPred(UnionT((p1.type, p3.type)), p1.var)
-    if isinstance(p1, TruePred):
+    if p1 is TT:
         return p2
-    if isinstance(p1, FalsePred):
+    if p1 is FF:
         return p3
-    if isinstance(p2, TruePred) and isinstance(p3, FalsePred):
+    if p2 is TT and p3 is FF:
         return p1
     return NONE_PRED
 
 
 def is_subpred(p1: Pred, p2: Pred) -> bool:
     """The ordering on visible predicates used by subject reduction."""
-    if p1 == p2:
+    if p1 == p2 or p2 is NONE_PRED:
         return True
-    if isinstance(p2, NonePred):
-        return True
-    if isinstance(p1, TruePred):
-        return not isinstance(p2, FalsePred)
-    if isinstance(p1, FalsePred):
-        return not isinstance(p2, TruePred)
+    if p1 is TT:
+        return p2 is not FF
+    if p1 is FF:
+        return p2 is not TT
     return False
 
 
 def typecheck(
-    delta: frozenset | set,
+    delta: frozenset,
     g: TypeEnv,
     e: Expr,
     mode: Mode = Mode.PRIMARY,
@@ -180,7 +175,6 @@ def typecheck(
     """
     if memo is not None and coverage is not None:
         raise ValueError("typecheck: a memo hit counts no rules; pass memo or coverage, not both")
-    delta = frozenset(delta)
     constants = constant_types(delta)
     extended = mode is Mode.EXTENDED
 
@@ -261,8 +255,8 @@ def typecheck(
                             rule, pred = "T-AppPredFalse", FF
                     j = Judgment(op_type.res, pred)
                 elif rule == "T-If":
-                    if len(js) == 1 and extended and isinstance(j.pred, (TruePred, FalsePred)):
-                        taken = isinstance(j.pred, TruePred)
+                    if len(js) == 1 and extended and (j.pred is TT or j.pred is FF):
+                        taken = j.pred is TT
                         frames.append(("T-IfTrue" if taken else "T-IfFalse", node, env, js))
                         e, g = node.then if taken else node.els, env
                         break

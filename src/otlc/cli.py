@@ -103,7 +103,6 @@ def cmd_eval(args) -> int:
         case FuelExhausted(last):
             raise _CliError(f"fuel exhausted after {args.fuel} steps at {print_expr(last)}",
                             EXIT_FAILURE)
-    return EXIT_FAILURE
 
 
 def cmd_trace(args) -> int:

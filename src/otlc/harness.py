@@ -55,9 +55,6 @@ from .syntax import (
     If,
     Num,
     Refine,
-    TrueT,
-    FalseT,
-    NumT,
     UnionT,
     Var,
     _rebuild,
@@ -219,7 +216,7 @@ class _Gen:
             if not g.members:
                 raise _GenFail
             g = self.rng.choice(g.members)
-        if g == TOP:
+        if g is TOP:
             pick = self.rng.random()
             if pick < 0.35:
                 return Num(self.rng.randint(-10, 99))
@@ -228,23 +225,19 @@ class _Gen:
             if pick < 0.8:
                 return Const(self.rng.choice([c for c in Constant if c not in REFINING]))
             g = Arrow(NUM, NUM)
-        match g:
-            case NumT():
-                return Num(self.rng.randint(-10, 99))
-            case TrueT():
-                return Bool(True)
-            case FalseT():
-                return Bool(False)
-            case Arrow(arg, res, _):
-                for c, t in constant_types(self.delta).items():
-                    if subtype(t, g) and self.rng.random() < 0.4:
-                        return Const(c)
-                return self.abstraction(env, arg, res, 1)
-            case _:  # Refine
-                usable = self.fitting(env, g)
-                if not usable:
-                    raise _GenFail
-                return Var(self.rng.choice(usable))
+        if g is NUM:
+            return Num(self.rng.randint(-10, 99))
+        if g is TRUE_T or g is FALSE_T:
+            return Bool(g is TRUE_T)
+        if isinstance(g, Arrow):
+            for c, t in constant_types(self.delta).items():
+                if subtype(t, g) and self.rng.random() < 0.4:
+                    return Const(c)
+            return self.abstraction(env, g.arg, g.res, 1)
+        usable = self.fitting(env, g)  # a Refine
+        if not usable:
+            raise _GenFail
+        return Var(self.rng.choice(usable))
 
     def cond(self, env: dict, goal, depth: int) -> Expr:
         test = self.make_test(env, depth)
@@ -254,7 +247,7 @@ class _Gen:
         return If(test, then, els)
 
     def make_test(self, env: dict, depth: int) -> Expr:
-        narrowable = [x for x, t in env.items() if t == TOP or isinstance(t, UnionT)]
+        narrowable = [x for x, t in env.items() if t is TOP or isinstance(t, UnionT)]
         if narrowable and self.rng.random() < 0.6:
             x = self.rng.choice(narrowable)
             c = self.rng.choice((Constant.NUMBER_P, Constant.BOOLEAN_P))
@@ -318,7 +311,7 @@ class _Gen:
     def lam(self, env: dict, goal, depth: int) -> Expr:
         if isinstance(goal, Arrow):
             return self.abstraction(env, goal.arg, goal.res, depth - 1)
-        if goal == TOP:
+        if goal is TOP:
             sigma = self.rng.choice(self.annots)
             return self.abstraction(env, sigma, self.rng.choice(self.goals), depth - 1)
         raise _GenFail
@@ -333,7 +326,7 @@ def gen_typed_term(rng: random.Random, max_depth: int, delta: frozenset) -> Expr
     generator bug it is."""
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
-    gen = _Gen(rng, frozenset(delta))
+    gen = _Gen(rng, delta)
     return gen.expr({}, rng.choice(gen.goals), max_depth)
 
 
@@ -352,7 +345,6 @@ def check_subject_reduction(e: Expr, fuel: int, delta: frozenset,
     judged with one memo and erased with another, both kept valid by
     `tr`, which holds every node alive: each closed node is judged once,
     and each node erased once."""
-    delta = frozenset(delta)
     failures: list[FuzzFailure] = []
 
     def fail(kind: str, i: int, detail: str):

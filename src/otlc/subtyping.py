@@ -17,17 +17,15 @@ from functools import lru_cache
 from .syntax import (
     BOOLEAN,
     BOT,
+    FALSE_T,
     NUM,
     TOP,
+    TRUE_T,
     Arrow,
     Bool,
     Constant,
-    FalseT,
     Num,
-    NumT,
     Refine,
-    TopT,
-    TrueT,
     Type,
     UnionT,
     apply_constant,
@@ -87,10 +85,11 @@ def normalize(t: Type) -> Type:
     return t
 
 
-# The kinds of value each type but a union holds, a bit each: number, #t,
-# #f and procedure.  Top holds every kind, and a (Refinement c) those of its
-# base, a constant's argument type and so no refinement.
-_KINDS = {NumT: 1, TrueT: 2, FalseT: 4, Arrow: 8, TopT: 15}
+# The kinds of value a type holds, a bit each: number, #t, #f and
+# procedure, the one kind of an arrow (8).  Top holds every kind, and a
+# (Refinement c) those of its base, a constant's argument type and so no
+# refinement.
+_KINDS = {NUM: 1, TRUE_T: 2, FALSE_T: 4, TOP: 15}
 
 
 def _kinds(t: Type) -> int:
@@ -98,7 +97,7 @@ def _kinds(t: Type) -> int:
     for m in t.members if isinstance(t, UnionT) else (t,):
         if m.__class__ is Refine:
             m = refinement_base(m.pred)
-        kinds |= _KINDS[m.__class__]
+        kinds |= 8 if m.__class__ is Arrow else _KINDS[m]
     return kinds
 
 
@@ -112,9 +111,7 @@ def overlap(s: Type, t: Type) -> bool:
 @lru_cache(maxsize=None)
 def subtype(s: Type, t: Type) -> bool:
     """Decide s <= t."""
-    if s == t:
-        return True
-    if isinstance(t, TopT):
+    if s is t or t is TOP:
         return True
     if isinstance(s, UnionT):
         return all(subtype(m, t) for m in s.members)

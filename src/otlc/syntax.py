@@ -3,9 +3,11 @@ reader/printer, and term utilities.
 
 The term language is a lambda calculus with explicitly annotated binders,
 integer and boolean literals, a fixed set of primitive operations, and a
-three-armed conditional.  Types include a top type, numbers, singleton
-booleans, latent-predicate arrows, finite untagged unions, and refinements
-of a base type by a built-in predicate.
+three-armed conditional.  Types are the atoms Top, Number, True and
+False (the singleton booleans), latent-predicate arrows, finite untagged
+unions, and refinements of a base type by a built-in predicate; Boolean
+and Bot are the unions (U True False) and (U).  An atom, and each of the
+visible predicates tt, ff and none, is one named constant of its class.
 
 Types are hash-consed: a live type is the only object of its structure, so
 types are equal exactly when identical and hash in O(1).  The table of live
@@ -66,27 +68,15 @@ class _HashConsed(type):
 
 
 class Type(metaclass=_HashConsed):
-    __slots__ = ()
-
-
-@dataclass(frozen=True, eq=False)
-class TopT(Type):
     pass
 
 
 @dataclass(frozen=True, eq=False)
-class NumT(Type):
-    pass
+class AtomT(Type):
+    """A type named by one word.  Its instances are the four constants
+    below, so a test for one is identity with its constant."""
 
-
-@dataclass(frozen=True, eq=False)
-class TrueT(Type):
-    pass
-
-
-@dataclass(frozen=True, eq=False)
-class FalseT(Type):
-    pass
+    name: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,10 +98,10 @@ class Refine(Type):
     pred: Constant
 
 
-TOP = TopT()
-NUM = NumT()
-TRUE_T = TrueT()
-FALSE_T = FalseT()
+TOP = AtomT("Top")
+NUM = AtomT("Number")
+TRUE_T = AtomT("True")
+FALSE_T = AtomT("False")
 BOOLEAN = UnionT((TRUE_T, FALSE_T))
 BOT = UnionT(())
 
@@ -121,7 +111,7 @@ BOT = UnionT(())
 
 
 class Pred:
-    __slots__ = ()
+    pass
 
 
 @dataclass(frozen=True)
@@ -140,23 +130,17 @@ class VarPred(Pred):
 
 
 @dataclass(frozen=True)
-class TruePred(Pred):
-    pass
+class AtomPred(Pred):
+    """A predicate named by one word: tt (the test is true), ff (it is
+    false) or none (nothing is known).  Its instances are the three
+    constants below, so a test for one is identity with its constant."""
+
+    name: str
 
 
-@dataclass(frozen=True)
-class FalsePred(Pred):
-    pass
-
-
-@dataclass(frozen=True)
-class NonePred(Pred):
-    pass
-
-
-TT = TruePred()
-FF = FalsePred()
-NONE_PRED = NonePred()
+TT = AtomPred("tt")
+FF = AtomPred("ff")
+NONE_PRED = AtomPred("none")
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +420,10 @@ def _is_ident(atom: str) -> bool:
             and not _is_integer(atom))
 
 
-# The types spelled by one word, and back, and the predicates printed as one.
-_TYPE_ATOMS = {"Top": TOP, "Number": NUM, "True": TRUE_T, "False": FALSE_T,
+# The types spelled by one word, and back: the atoms, Boolean and Bot.
+_TYPE_ATOMS = {**{t.name: t for t in (TOP, NUM, TRUE_T, FALSE_T)},
                "Boolean": BOOLEAN, "Bot": BOT}
 _TYPE_NAMES = {t: name for name, t in _TYPE_ATOMS.items()}
-_PRED_NAMES = {TT: "tt", FF: "ff", NONE_PRED: "none"}
 
 RESERVED_WORDS = {"lambda", "if", "U", "->", "Refinement", "declare-refinement", *_TYPE_ATOMS}
 
@@ -650,8 +633,8 @@ def print_pred(p: Pred) -> str:
             return f"{print_type(t)} @ {x}"
         case VarPred(x):
             return x
-        case TruePred() | FalsePred() | NonePred():
-            return _PRED_NAMES[p]
+        case AtomPred(name):
+            return name
     raise TypeError(f"not a predicate: {p!r}")
 
 

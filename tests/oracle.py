@@ -35,14 +35,9 @@ from otlc.syntax import (
     Const,
     Constant,
     Expr,
-    FalseT,
     If,
     Num,
-    NonePred,
-    NumT,
     Refine,
-    TopT,
-    TrueT,
     TypeOfPred,
     UnionT,
     Var,
@@ -72,7 +67,7 @@ def o_kinds(t):
     """The kinds of value t holds: numbers, #t, #f and procedures.  A
     refinement holds those of its predicate's argument type."""
     match t:
-        case TopT():
+        case _ if t is TOP:
             return {"number", "#t", "#f", "procedure"}
         case UnionT(members):
             return set().union(*map(o_kinds, members))
@@ -80,11 +75,11 @@ def o_kinds(t):
             return {"procedure"}
         case Refine(c):
             return o_kinds(CONSTANT_TYPES[c].arg)
-        case NumT():
+        case _ if t is NUM:
             return {"number"}
-        case TrueT():
+        case _ if t is TRUE_T:
             return {"#t"}
-        case FalseT():
+        case _ if t is FALSE_T:
             return {"#f"}
 
 
@@ -165,7 +160,7 @@ def o_combfilter(p1, p2, p3):
 def o_subpred(p1, p2) -> bool:
     if p1 == p2:
         return True
-    if isinstance(p2, NonePred):
+    if p2 is NONE_PRED:
         return True
     if p1 == TT and p2 != FF:
         return True

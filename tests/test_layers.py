@@ -1,9 +1,10 @@
 """Module layering: every import sits at module level, each module of the
 package imports only from the layers below it, no module normalizes
-types, which are built in normal form, no function but a type walker
-calls itself, and refinement mode has one spelling: the refining
-constants are written out only in `subtyping`, Δ is the harness's
-only refinement switch, and no relation on types takes Δ."""
+types, which are built in normal form, only `syntax` builds an atom, so
+a test for one is identity with its constant, no function but a type
+walker calls itself, and refinement mode has one spelling: the refining
+constants are written out only in `subtyping`, Δ is the harness's only
+refinement switch, and no relation on types takes Δ."""
 
 import ast
 from pathlib import Path
@@ -73,6 +74,19 @@ def test_no_module_normalizes_types(module):
              if isinstance(node, ast.Call)
              and "normalize" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert calls == [], f"{module}.py calls normalize on lines {calls}"
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "syntax"])
+def test_only_syntax_builds_atoms(module):
+    # The atoms are the constants `syntax` defines (TOP, NUM, TRUE_T,
+    # FALSE_T, TT, FF and NONE_PRED), and every test for one is identity.
+    # Types are hash-consed, but predicates are not: a second AtomPred
+    # would be equal to its constant without being it.
+    calls = [node.lineno for node in ast.walk(_tree(module))
+             if isinstance(node, ast.Call)
+             and {"AtomT", "AtomPred"} & {getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None)}]
+    assert calls == [], f"{module}.py builds an atom on lines {calls}"
 
 
 # Walkers over types, whose depth is the nesting of an annotation.  Terms

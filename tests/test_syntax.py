@@ -6,9 +6,12 @@ from hypothesis import given, settings, strategies as st
 from otlc.syntax import (
     BOOLEAN,
     FALSE_T,
+    FF,
+    NONE_PRED,
     NUM,
     TOP,
     TRUE_T,
+    TT,
     Abs,
     App,
     Arrow,
@@ -27,6 +30,7 @@ from otlc.syntax import (
     parse_program,
     parse_type,
     print_expr,
+    print_pred,
     print_type,
     substitute,
 )
@@ -111,6 +115,17 @@ def test_print_boolean_folding():
     # A literal nested Boolean member stays structurally distinct.
     nested = UnionT((NUM, BOOLEAN))
     assert parse_type(print_type(nested)) == nested
+
+
+@pytest.mark.parametrize("t", (TOP, NUM, TRUE_T, FALSE_T), ids=lambda t: t.name)
+def test_type_atom_reads_and_prints_by_its_name(t):
+    assert parse_type(t.name) is t
+    assert print_type(t) == t.name
+
+
+@pytest.mark.parametrize("p", (TT, FF, NONE_PRED), ids=lambda p: p.name)
+def test_pred_atom_prints_by_its_name(p):
+    assert print_pred(p) == p.name
 
 
 def test_print_expr_examples():
