@@ -1,5 +1,6 @@
 """The occurrence-typing judgment: environment narrowing, predicate
-combination, and the syntax-directed typechecker.
+combination, and the syntax-directed typechecker, one generator function
+per compound typing rule, which `typecheck` runs on an explicit stack.
 
 Two rule sets are supported.  The primary rules are what a programmer
 sees.  The extended rules keep every intermediate term of a reduction
@@ -61,11 +62,8 @@ class Judgment(NamedTuple):
 
 class TypeCheckError(Exception):
     def __init__(self, rule: str, expr: Expr, detail: str):
-        self.rule = rule
-        self.expr = expr
-        self.detail = detail
-        self.trail = [rule]
         super().__init__(detail)
+        self.rule, self.expr, self.detail, self.trail = rule, expr, detail, [rule]
 
     def __str__(self) -> str:
         via = " > ".join(reversed(self.trail))
@@ -92,31 +90,23 @@ def remove(s: Type, t: Type) -> Type:
     return s
 
 
-def _lookup(g: TypeEnv, x: str, e: Expr) -> Type:
-    try:
-        return g[x]
-    except KeyError:
-        raise TypeCheckError("T-Var", e, f"unbound variable {x}") from None
-
-
 def env_plus(g: TypeEnv, p: Pred) -> TypeEnv:
-    """Refine the environment for the then branch of a conditional."""
+    """Refine `g` for the then branch of a test of predicate `p` on `g`'s variables."""
     match p:
         case TypeOfPred(t, x):
-            return {**g, x: restrict(_lookup(g, x, Var(x)), t)}
+            return {**g, x: restrict(g[x], t)}
         case VarPred(x):
-            return {**g, x: remove(_lookup(g, x, Var(x)), FALSE_T)}
+            return {**g, x: remove(g[x], FALSE_T)}
         case _:
             return g
 
 
 def env_minus(g: TypeEnv, p: Pred) -> TypeEnv:
-    """Refine the environment for the else branch of a conditional."""
+    """Refine `g` for the else branch of a test of predicate `p` on `g`'s variables."""
     match p:
         case TypeOfPred(t, x):
-            return {**g, x: remove(_lookup(g, x, Var(x)), t)}
+            return {**g, x: remove(g[x], t)}
         case VarPred(x):
-            _lookup(g, x, Var(x))
             return {**g, x: FALSE_T}
         case _:
             return g
@@ -150,62 +140,102 @@ def is_subpred(p1: Pred, p2: Pred) -> bool:
     return False
 
 
-def typecheck(
-    delta: frozenset,
-    g: TypeEnv,
-    e: Expr,
-    mode: Mode = Mode.PRIMARY,
-    coverage: dict[str, int] | None = None,
-    memo: dict[int, Judgment] | None = None,
-) -> Judgment:
-    """Derive the type and visible predicate of `e` under `g`, with an
-    explicit stack of premise frames, so a term of any depth checks.
+def _app(e: App, g: TypeEnv, delta: frozenset, extended: bool):
+    """T-App, or by the operator's latent T-AppPred, T-AppPredTrue or T-AppPredFalse."""
+    op_type = (yield "T-App", e.rator, g).type
+    arg = yield "T-App", e.rand, g
+    if extended and op_type is BOT:
+        # A narrowing can leave an operator in a dead branch at Bot, which
+        # subsumption makes a function type.
+        op_type = Arrow(TOP, BOT)
+    if not isinstance(op_type, Arrow):
+        raise TypeCheckError("T-App", e, f"operator has non-function type {print_type(op_type)}")
+    if not subtype(arg.type, op_type.arg):
+        raise TypeCheckError("T-App", e, f"argument type {print_type(arg.type)} is not a "
+                             f"subtype of {print_type(op_type.arg)}")
+    # A variable operand keeps its per-variable predicate: the constant-
+    # predicate rules, which keep reducts typeable, would make the extended
+    # judgment diverge there from the primary one inside binders.
+    latent, rule, pred = op_type.latent, "T-App", NONE_PRED
+    if latent is not None and isinstance(arg.pred, VarPred):
+        rule, pred = "T-AppPred", TypeOfPred(latent, arg.pred.var)
+    elif extended and latent is not None:
+        if subtype(arg.type, latent):
+            rule, pred = "T-AppPredTrue", TT
+        elif not overlap(arg.type, latent) or is_value(e.rand):
+            rule, pred = "T-AppPredFalse", FF
+    yield rule, Judgment(op_type.res, pred)
 
-    T-Abs rejects an annotation naming a refinement outside `delta`, the
-    declared refinement predicates.  `coverage`, when given, counts how
-    often each typing rule fires.  Each constant has its type in the
-    table under `delta`, `constant_types`.
 
-    `memo`, when given, holds by `id` the judgment of each node reached
-    under the empty environment, which under a closed root is each node
-    outside every binder, so the node alone is the key.  Errors are not
-    stored.  Share a memo only between calls with the same `delta` and
-    `mode`, and only while every node it names is alive.  A hit counts no
-    rules, so `memo` and `coverage` exclude each other.
-    """
+def _if(e: If, g: TypeEnv, delta: frozenset, extended: bool):
+    """T-If, or the extended T-IfTrue and T-IfFalse, which judge only the branch taken."""
+    test = (yield "T-If", e.test, g).pred
+    if extended and (test is TT or test is FF):
+        rule = "T-IfTrue" if test is TT else "T-IfFalse"
+        yield rule, (yield rule, e.then if test is TT else e.els, g)
+    else:
+        then = yield "T-If", e.then, env_plus(g, test)
+        els = yield "T-If", e.els, env_minus(g, test)
+        # Equal branch types join to themselves: no union to look up.
+        t = then.type if then.type is els.type else UnionT((then.type, els.type))
+        yield "T-If", Judgment(t, combfilter(test, then.pred, els.pred))
+
+
+def _abs(e: Abs, g: TypeEnv, delta: frozenset, extended: bool):
+    """T-Abs, or T-AbsPred when the body's predicate is about the parameter."""
+    if (c := undeclared(delta, e.annot)) is not None:
+        raise TypeCheckError("T-Abs", e, f"refinement predicate {c.value} is not declared")
+    body = yield "T-Abs", e.body, {**g, e.param: e.annot}
+    if isinstance(body.pred, TypeOfPred) and body.pred.var == e.param:
+        yield "T-AbsPred", Judgment(Arrow(e.annot, body.type, body.pred.type), TT)
+    else:
+        yield "T-Abs", Judgment(Arrow(e.annot, body.type), TT)
+
+
+# The rule function of each compound term.  It yields `(rule, premise, env)`
+# for each premise in the order the rule judges them, and is sent back the
+# premise's judgment; after the side conditions it yields `(rule, judgment)`.
+_RULES = {App: _app, If: _if, Abs: _abs}
+
+
+def typecheck(delta: frozenset, g: TypeEnv, e: Expr, mode: Mode = Mode.PRIMARY,
+              coverage: dict[str, int] | None = None,
+              memo: dict[int, Judgment] | None = None) -> Judgment:
+    """Derive the type and visible predicate of `e` under `g`: a leaf here,
+    a compound term by its rule function in `_RULES`, run on an explicit
+    stack of pending rules so that a term of any depth checks.  `delta`
+    declares the refinement predicates, which T-Abs checks annotations
+    against and `constant_types` types the constants by.  `coverage`, when
+    given, counts how often each typing rule fires.  `memo`, when given,
+    holds by `id` the judgment of each node reached under the empty
+    environment, which under a closed root is each node outside every
+    binder, so the node alone is the key.  Errors are not stored.  Share a
+    memo only between calls with the same `delta` and `mode`, and only
+    while every node it names is alive.  A hit counts no rules, so `memo`
+    and `coverage` exclude each other."""
     if memo is not None and coverage is not None:
         raise ValueError("typecheck: a memo hit counts no rules; pass memo or coverage, not both")
     constants = constant_types(delta)
     extended = mode is Mode.EXTENDED
 
-    # One frame per judgment waiting on a premise: (the rule the premise is
-    # judged under, the node, the node's environment, the judgments of its
-    # premises so far).  A frame is off the stack while its node concludes,
-    # so an error's trail names the rules of the frames above that node.
-    frames: list[tuple] = []
+    # Per pending rule, (its rule function, the rule its premise is judged
+    # under, its memo key or None); off the stack while the rule concludes.
+    stack: list[tuple] = []
     try:
         while True:
-            # Descend to the leftmost premise not yet judged.
             cls = e.__class__
             if memo is not None and not g and id(e) in memo:
                 rule, j = None, memo[id(e)]  # no rule to count: there is no coverage
-            elif cls is App:
-                frames.append(("T-App", e, g, ()))
-                e = e.rator
-                continue
-            elif cls is If:
-                frames.append(("T-If", e, g, ()))
-                e = e.test
-                continue
-            elif cls is Abs:
-                if (c := undeclared(delta, e.annot)) is not None:
-                    raise TypeCheckError(
-                        "T-Abs", e, f"refinement predicate {c.value} is not declared")
-                frames.append(("T-Abs", e, g, ()))
-                e, g = e.body, {**g, e.param: e.annot}
+            elif (rule_of := _RULES.get(cls)) is not None:
+                key = id(e) if memo is not None and not g else None
+                gen = rule_of(e, g, delta, extended)
+                rule, e, g = gen.send(None)
+                stack.append((gen, rule, key))
                 continue
             elif cls is Var:
-                rule, j = "T-Var", Judgment(_lookup(g, e.name, e), VarPred(e.name))
+                if (t := g.get(e.name)) is None:
+                    raise TypeCheckError("T-Var", e, f"unbound variable {e.name}")
+                rule, j = "T-Var", Judgment(t, VarPred(e.name))
             elif cls is Num:
                 rule, j = "T-Num", Judgment(literal_type(delta, e.value) if extended else NUM, TT)
             elif cls is Const:
@@ -215,73 +245,22 @@ def typecheck(
                 j = Judgment(t if extended else BOOLEAN, pred)
             else:
                 raise TypeCheckError("T-?", e, f"not an expression: {e!r}")
-            if coverage is not None:
-                coverage[rule] = coverage.get(rule, 0) + 1
-            # Hand `j` up to the first frame with a premise left, which
-            # becomes `e` under `g`.
-            while frames:
-                rule, node, env, js = frames.pop()
-                js += (j,)
-                if rule == "T-App":
-                    if len(js) == 1:
-                        frames.append((rule, node, env, js))
-                        e, g = node.rand, env
-                        break
-                    op_type = js[0].type
-                    if extended and op_type is BOT:
-                        # A narrowing can leave an operator in a dead branch
-                        # at Bot, which subsumption makes a function type.
-                        op_type = Arrow(TOP, BOT)
-                    if not isinstance(op_type, Arrow):
-                        raise TypeCheckError(
-                            "T-App", node, f"operator has non-function type {print_type(op_type)}")
-                    if not subtype(j.type, op_type.arg):
-                        raise TypeCheckError(
-                            "T-App", node,
-                            f"argument type {print_type(j.type)} is not a subtype of "
-                            f"{print_type(op_type.arg)}")
-                    # A variable operand keeps the informative per-variable
-                    # predicate; letting the constant-predicate rules win
-                    # there makes the extended judgment diverge from the
-                    # primary one inside binders.  On other operands they
-                    # are the rules that keep reducts typeable.
-                    latent, rule, pred = op_type.latent, "T-App", NONE_PRED
-                    if latent is not None and isinstance(j.pred, VarPred):
-                        rule, pred = "T-AppPred", TypeOfPred(latent, j.pred.var)
-                    elif extended and latent is not None:
-                        if subtype(j.type, latent):
-                            rule, pred = "T-AppPredTrue", TT
-                        elif not overlap(j.type, latent) or is_value(node.rand):
-                            rule, pred = "T-AppPredFalse", FF
-                    j = Judgment(op_type.res, pred)
-                elif rule == "T-If":
-                    if len(js) == 1 and extended and (j.pred is TT or j.pred is FF):
-                        taken = j.pred is TT
-                        frames.append(("T-IfTrue" if taken else "T-IfFalse", node, env, js))
-                        e, g = node.then if taken else node.els, env
-                        break
-                    # the narrowed environments only mention variables of
-                    # `env`, so building them cannot fail
-                    if len(js) < 3:
-                        e, g = ((node.then, env_plus(env, j.pred)) if len(js) == 1
-                                else (node.els, env_minus(env, js[0].pred)))
-                        frames.append((rule, node, env, js))
-                        break
-                    # Equal branch types join to themselves: no union to look up.
-                    t = j.type if js[1].type is j.type else UnionT((js[1].type, j.type))
-                    j = Judgment(t, combfilter(*(x.pred for x in js)))
-                elif rule == "T-Abs":
-                    pred = j.pred
-                    latent = pred.type if isinstance(pred, TypeOfPred) and pred.var == node.param else None
-                    rule = "T-Abs" if latent is None else "T-AbsPred"
-                    j = Judgment(Arrow(node.annot, j.type, latent), TT)
-                # T-IfTrue and T-IfFalse conclude with the taken branch's `j`.
+            # Send `j` to the pending rules until one yields a premise.
+            while True:
                 if coverage is not None:
                     coverage[rule] = coverage.get(rule, 0) + 1
-                if memo is not None and not env:
-                    memo[id(node)] = j
-            else:
-                return j
+                if not stack:
+                    return j
+                gen, _, key = stack.pop()
+                step = gen.send(j)
+                if len(step) == 3:
+                    rule, e, g = step
+                    stack.append((gen, rule, key))
+                    break
+                rule, j = step
+                next(gen, None)  # run it to its end, which is cheaper than closing it
+                if key is not None:
+                    memo[key] = j
     except TypeCheckError as err:
-        err.trail += [frame[0] for frame in reversed(frames)]
+        err.trail += [entry[1] for entry in reversed(stack)]
         raise

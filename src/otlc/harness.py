@@ -25,7 +25,7 @@ import json
 import random
 import time
 from bisect import bisect
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .checker import (
     Judgment,
@@ -136,10 +136,7 @@ class FuzzReport:
     def to_dict(self) -> dict:
         return {
             "generated": self.generated,
-            "failures": [
-                {"kind": f.kind, "term": f.term, "step": f.step, "detail": f.detail}
-                for f in self.all_failures()
-            ],
+            "failures": [asdict(f) for f in self.all_failures()],
             "coverage": dict(sorted(self.coverage.items())),
             "seed": self.seed,
             "elapsed_ms": self.elapsed_ms,

@@ -21,6 +21,7 @@ and the reader and printer deal in normal forms only.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from weakref import WeakValueDictionary
@@ -499,6 +500,11 @@ class _Reader:
         if not atom or atom in "():":
             self.fail("expected an expression", last=True)
         if _is_integer(atom):
+            # Fewer digits than Python converts (0 or absent: no limit) print after any add1.
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if 0 < limit <= len(atom.lstrip("+-")):
+                raise ParseError(f"integer literal too long (at most {limit - 1} digits)",
+                                 *_position(self.text, self.last))
             return Num(int(atom))
         if atom in ("#t", "#f"):
             return Bool(atom == "#t")
@@ -622,8 +628,6 @@ def _join(todo: list) -> str:
 
 
 def print_type(t: Type) -> str:
-    if t in _TYPE_NAMES:
-        return _TYPE_NAMES[t]
     return _join([t])
 
 

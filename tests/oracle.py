@@ -169,8 +169,17 @@ def o_subpred(p1, p2) -> bool:
     return False
 
 
-def derive(delta, g: dict, e: Expr, mode: Mode) -> frozenset:
-    """All (type, pred) pairs derivable for `e` under `g`."""
+def derive(delta, g: dict, e: Expr, mode: Mode, memo: dict | None = None) -> frozenset:
+    """All (type, pred) pairs derivable for `e` under `g`.  The calls under
+    one root share `memo`, keyed by node identity, Γ, Δ and mode: the If
+    rule derives its branches once per judgment of its test, and the else
+    branch once per judgment of the then branch, so without it the calls
+    grow exponentially with the nesting of `if`s."""
+    if memo is None:
+        memo = {}
+    key = (id(e), frozenset(g.items()), delta, mode)
+    if key in memo:
+        return memo[key]
     out = set()
     match e:
         case Var(x):
@@ -186,17 +195,17 @@ def derive(delta, g: dict, e: Expr, mode: Mode) -> frozenset:
             else:
                 out.add((BOOLEAN, TT if v else FF))
         case Abs(x, sigma, body) if o_preds(sigma) <= delta:
-            for (tb, pb) in derive(delta, {**g, x: sigma}, body, mode):
+            for (tb, pb) in derive(delta, {**g, x: sigma}, body, mode, memo):
                 out.add((Arrow(sigma, tb, None), TT))
                 if isinstance(pb, TypeOfPred) and pb.var == x:
                     out.add((Arrow(sigma, tb, pb.type), TT))
         case App(e1, e2):
-            for (arrow, _) in derive(delta, g, e1, mode):
+            for (arrow, _) in derive(delta, g, e1, mode, memo):
                 if mode is Mode.EXTENDED and arrow == BOT:
                     arrow = Arrow(TOP, BOT)
                 if not isinstance(arrow, Arrow):
                     continue
-                for (t2, p2) in derive(delta, g, e2, mode):
+                for (t2, p2) in derive(delta, g, e2, mode, memo):
                     if not subtype(t2, arrow.arg):
                         continue
                     res = arrow.res
@@ -210,15 +219,16 @@ def derive(delta, g: dict, e: Expr, mode: Mode) -> frozenset:
                             elif not o_overlap(t2, arrow.latent) or o_is_value(e2):
                                 out.add((res, FF))
         case If(e1, e2, e3):
-            for (_, p1) in derive(delta, g, e1, mode):
+            for (_, p1) in derive(delta, g, e1, mode, memo):
                 if mode is Mode.EXTENDED and p1 == TT:
-                    out |= derive(delta, g, e2, mode)
+                    out |= derive(delta, g, e2, mode, memo)
                 if mode is Mode.EXTENDED and p1 == FF:
-                    out |= derive(delta, g, e3, mode)
+                    out |= derive(delta, g, e3, mode, memo)
                 then_env = o_env_plus(g, p1)
                 else_env = o_env_minus(g, p1)
-                for (t2, p2) in derive(delta, then_env, e2, mode):
-                    for (t3, p3) in derive(delta, else_env, e3, mode):
+                for (t2, p2) in derive(delta, then_env, e2, mode, memo):
+                    for (t3, p3) in derive(delta, else_env, e3, mode, memo):
                         out.add((UnionT((t2, t3)),
                                  o_combfilter(p1, p2, p3)))
-    return frozenset(out)
+    memo[key] = result = frozenset(out)
+    return result

@@ -17,6 +17,8 @@ from otlc.checker import (
 )
 from otlc.subtyping import subtype
 from otlc.syntax import (
+    App,
+    Const,
     Constant,
     FF,
     NONE_PRED,
@@ -443,6 +445,63 @@ def test_error_trail_names_each_enclosing_rule(src, mode, trail, literal):
         check(src, mode)
     assert str(exc.value).endswith(
         f"argument type {literal} is not a subtype of Number at (add1 #t) {trail}")
+
+
+@pytest.mark.parametrize("src,mode,delta,message", [
+    # each raising rule under each kind of pending rule
+    ("(lambda (x : Top) (if (number? x) 1 (y x)))", Mode.PRIMARY, EMPTY,
+     "T-Var: unbound variable y at y [via T-Abs > T-If > T-App > T-Var]"),
+    ("((lambda (f : Top) (f 1)) 2)", Mode.PRIMARY, EMPTY,
+     "T-App: operator has non-function type Top at (f 1) [via T-App > T-Abs > T-App]"),
+    ("(if #t ((lambda (n : (Refinement even?)) n) 2) 0)", Mode.EXTENDED, EMPTY,
+     "T-Abs: refinement predicate even? is not declared at "
+     "(lambda (n : (Refinement even?)) n) [via T-IfTrue > T-App > T-Abs]"),
+    ("(if #f 0 (z 1))", Mode.EXTENDED, EMPTY,
+     "T-Var: unbound variable z at z [via T-IfFalse > T-App > T-Var]"),
+    ("(if (lambda (n : (Refinement odd?)) n) 1 2)", Mode.PRIMARY, EVEN,
+     "T-Abs: refinement predicate odd? is not declared at "
+     "(lambda (n : (Refinement odd?)) n) [via T-If > T-Abs]"),
+    ("((add1 #t) 1)", Mode.PRIMARY, EMPTY,
+     "T-App: argument type Boolean is not a subtype of Number at (add1 #t) [via T-App > T-App]"),
+    ("(if #t 1 q)", Mode.PRIMARY, EMPTY, "T-Var: unbound variable q at q [via T-If > T-Var]"),
+    ("(lambda (x : Number) (x 1))", Mode.EXTENDED, EMPTY,
+     "T-App: operator has non-function type Number at (x 1) [via T-Abs > T-App]"),
+    ("(not (lambda (x : (U Number (Refinement even?))) x))", Mode.PRIMARY, EMPTY,
+     "T-Abs: refinement predicate even? is not declared at "
+     "(lambda (x : (U Number (Refinement even?))) x) [via T-App > T-Abs]"),
+    ("((lambda (b : Boolean) b) (if #t 1 2))", Mode.EXTENDED, EMPTY,
+     "T-App: argument type Number is not a subtype of Boolean at "
+     "((lambda (b : Boolean) b) (if #t 1 2)) [via T-App]"),
+    ("w", Mode.PRIMARY, EMPTY, "T-Var: unbound variable w at w [via T-Var]"),
+])
+def test_error_trail_under_each_pending_rule(src, mode, delta, message):
+    with pytest.raises(TypeCheckError) as exc:
+        check(src, mode, delta=delta)
+    assert str(exc.value) == message
+    assert exc.value.trail[0] == exc.value.rule
+
+
+def test_error_trail_of_a_non_expression():
+    with pytest.raises(TypeCheckError) as exc:
+        typecheck(EMPTY, {}, App(Const(Constant.ADD1), "junk"))
+    assert exc.value.trail == ["T-?", "T-App"]
+    assert exc.value.detail == "not an expression: 'junk'"
+
+
+def test_memo_stores_no_error():
+    # The operator concludes under the empty environment and is stored; the
+    # operand fails, and fails the same way through the memo's hit.
+    e = parse_expr("((lambda (x : Number) x) (add1 #t))")
+    memo = {}
+    shown = []
+    for _ in range(2):
+        with pytest.raises(TypeCheckError) as exc:
+            typecheck(EMPTY, {}, e, Mode.EXTENDED, memo=memo)
+        shown.append((str(exc.value), exc.value.trail))
+        assert list(memo) == [id(e.rator)]
+    assert shown[0] == shown[1] == (
+        "T-App: argument type True is not a subtype of Number at (add1 #t) [via T-App > T-App]",
+        ["T-App", "T-App"])
 
 
 # ---------------------------------------------------------------------------

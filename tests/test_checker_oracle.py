@@ -3,7 +3,8 @@ depth-2 term over a fixed atom set, plus seeded random terms of depth at
 most 4) under Γ = {x: Top, y: (U Number Boolean)}, the checker accepts
 exactly the terms with a nonempty derivation set, and its judgment is a
 member of that set.  Random terms over the parity tests and refinement
-annotations are compared too, under each Δ."""
+annotations are compared too, under each Δ, and so are the fuzzer's
+generated terms, their reduction chains and literal replacements in them."""
 
 import random
 import re
@@ -11,6 +12,8 @@ import re
 import pytest
 
 from otlc.checker import Mode, TypeCheckError, typecheck
+from otlc.harness import FuzzConfig, _positions, _replace, gen_typed_term
+from otlc.semantics import trace
 from otlc.subtyping import REFINING
 from otlc.syntax import (
     Abs,
@@ -125,3 +128,28 @@ def test_oracle_equivalence_parity(delta, mode):
                  for e in random_terms(atoms=PARITY_ATOMS, annots=PARITY_ANNOTS)
                  if agree(e, mode, delta, PARITY_GAMMA))
     assert parity > 100
+
+
+@pytest.mark.parametrize("refinements", [False, True], ids=["base", "refinements"])
+def test_oracle_agrees_on_fuzzed_terms(refinements):
+    # For each generated root: its primary judgment, and the extended
+    # judgment of every term of its reduction chain, are derivable.  With a
+    # #t at its middle node, the primary checker rejects it exactly when
+    # nothing is derivable.  The extended checker is not held to the other
+    # half: it keeps T-AppPred on a variable operand where T-AppPredFalse
+    # would decide the test, so it rejects a few derivable terms, such as
+    # (lambda (v : Boolean) (add1 (if (number? v) #t 0))).
+    delta = frozenset(REFINING if refinements else ())
+    rejected = 0
+    for i in range(500):
+        e = gen_typed_term(random.Random(f"oracle:{refinements}:{i}"), 6, delta)
+        j = typecheck(delta, {}, e, Mode.PRIMARY)
+        assert (j.type, j.pred) in derive(delta, {}, e, Mode.PRIMARY), print_expr(e)
+        chain, _ = trace(e, FuzzConfig.fuel)
+        memo = {}
+        for t in chain:
+            j = typecheck(delta, {}, t, Mode.EXTENDED, memo=memo)
+            assert (j.type, j.pred) in derive(delta, {}, t, Mode.EXTENDED), print_expr(t)
+        replaced = _replace(e, len(_positions(e)) // 2, Bool(True))
+        rejected += not agree(replaced, Mode.PRIMARY, delta, {})
+    assert rejected > 100

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, output formats, and flags."""
 
 import json
+import sys
 
 import pytest
 
@@ -69,6 +70,28 @@ def test_check_parse_error_exit_2(program, capsys):
     assert main(["check", path]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert path in err
+
+
+@pytest.mark.parametrize("command,text,col", [
+    # a literal `int` cannot read, and one `add1` takes past what `str` prints
+    ("check", "9" * 5000, 1),
+    ("eval", "(add1 " + "9" * 4300 + ")", 7),
+])
+def test_huge_integer_literal_exit_2(program, capsys, command, text, col):
+    path = program(text)
+    assert main([command, path]) == EXIT_USAGE
+    got = capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    assert got.err == f"{path}:1:{col}: integer literal too long (at most {limit - 1} digits)\n"
+    assert got.out == ""
+
+
+def test_longest_integer_literal_runs(program, capsys):
+    # A literal one digit short of the limit: `add1` may take it to the
+    # limit, which still prints.
+    digits = sys.get_int_max_str_digits() - 1
+    assert main(["eval", program("(add1 " + "9" * digits + ")")]) == EXIT_OK
+    assert capsys.readouterr().out == "1" + "0" * digits + "\n"
 
 
 def test_check_missing_file_exit_2(capsys):

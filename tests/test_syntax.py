@@ -1,5 +1,7 @@
 """Parser, printer, and term-manipulation tests for otlc.syntax."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -97,6 +99,18 @@ def test_parse_errors_carry_positions(text, loc):
     with pytest.raises(ParseError) as exc:
         parse_expr(text)
     assert str(exc.value).startswith(loc)
+
+
+@pytest.mark.parametrize("sign", ["", "-", "+"])
+def test_too_long_integer_literal_is_a_parse_error_at_it(sign):
+    # The limit is on digits: a sign does not count.
+    limit = sys.get_int_max_str_digits()
+    longest = sign + "7" * (limit - 1)
+    assert parse_expr(f"(add1 {longest})").rand == Num(int(longest))
+    with pytest.raises(ParseError) as exc:
+        parse_expr(f"(add1\n  {sign}{'7' * limit})")
+    assert str(exc.value) == f"2:3: integer literal too long (at most {limit - 1} digits)"
+    assert (exc.value.line, exc.value.col) == (2, 3)
 
 
 def test_unknown_identifier_is_a_variable_not_a_constant():
