@@ -7,8 +7,9 @@ The document holds the stdout, stderr and exit code of `otlc check`,
 and of `eval --fuel 0`, `eval --fuel 1`, `trace --fuel 1` and `eval
 --unchecked` there, which read back stuck and out-of-fuel terms.  It
 holds those of `eval --unchecked`, `eval --unchecked --fuel 2` and
-`trace --unchecked` on three programs whose runs read back terms under a
-non-empty environment, two stuck and one ending in a closure.  It holds
+`trace --unchecked` on five programs whose runs read back terms under a
+non-empty environment, three stuck and two ending in a closure; in two
+of them an inner binder shadows one of several bindings.  It holds
 the `run_fuzz` reports, without `elapsed_ms`, of 400 terms for seeds 1-3
 in base and refinement mode, and the reports of 250 terms for seeds 1-5
 in both modes under broken semantics, the `if` rule's branches swapped,
@@ -56,7 +57,12 @@ COMMANDS = {"check": ["check"], "check --extended": ["check", "--extended"],
 STUCK = ["((lambda (x : Top) (add1 x)) #t)",
          "((lambda (x : Top) ((lambda (g : Top) (if (g x) x (add1 x))) (lambda (z : Top) x))) #f)",
          "((lambda (x : Number) ((lambda (y : Number) (if (even? y) (lambda (z : Top) (add1 x)) "
-         "y)) (add1 (add1 x)))) 2)"]
+         "y)) (add1 (add1 x)))) 2)",
+         # Several bindings, one of them shadowed by an inner binder.
+         "((lambda (x : Number) ((lambda (y : Number) (lambda (z : Top) ((lambda (x : Top) "
+         "(if x y x)) x))) 2)) 1)",
+         "((lambda (x : Top) ((lambda (y : Top) (if (add1 y) (lambda (x : Top) (if x y x)) x)) "
+         "#t)) 1)"]
 
 
 def run_cli(argv: list[str]) -> dict:

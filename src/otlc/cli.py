@@ -48,7 +48,7 @@ class _CliError(Exception):
 
 def _load_program(path: str, delta_flag: str | None):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as err:
         raise _CliError(f"cannot read {path}: {err}", EXIT_USAGE) from None
     try:

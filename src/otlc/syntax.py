@@ -271,15 +271,18 @@ def _rebuild(e: Expr, kids) -> Expr:
     return e
 
 
-def fold(e: Expr, leaf, node, memo: dict | None = None):
+def fold(e: Expr, leaf, node, memo: dict | None = None, bound: dict | None = None):
     """Fold `e` bottom-up over an explicit stack, so input of any depth
     folds.  `leaf(x)` gives the result of each Var, Num, Bool and Const (and
     of anything that is not a term), and `node(x, results)` that of each
     Abs, App and If from the list of its subterms' results, left to right.
-    The callbacks are called in post-order.  `memo`, when given, holds by
-    `id` the result of each Abs, App and If folded, and a node found there
-    is not folded again: share it between folds with the same callbacks,
-    while every node it names is alive."""
+    The callbacks are called in post-order.  `bound`, when given, maps each
+    name to the number of Abs nodes binding it that enclose the node folded:
+    an Abs counts while its body is folded, not when `node` is called on it.
+    `memo`, when given, holds by `id` the result of each Abs, App and If
+    folded, and a node found there is not folded again: share it between
+    folds with the same callbacks, while every node it names is alive, and
+    never with a fold whose callbacks read `bound`."""
     todo: list = [e]  # terms to fold, and (node, number of subterms) to combine
     done: list = []   # results, innermost last
     while todo:
@@ -287,6 +290,8 @@ def fold(e: Expr, leaf, node, memo: dict | None = None):
         cls = x.__class__
         if cls is tuple:
             x, n = x
+            if bound is not None and n == 1:  # leaving an Abs
+                bound[x.param] -= 1
             results = done[-n:]
             del done[-n:]
             r = node(x, results)
@@ -300,6 +305,8 @@ def fold(e: Expr, leaf, node, memo: dict | None = None):
         elif cls is If:
             todo += ((x, 3), x.els, x.then, x.test)
         elif cls is Abs:
+            if bound is not None:
+                bound[x.param] = bound.get(x.param, 0) + 1
             todo += ((x, 1), x.body)
         else:
             done.append(leaf(x))
@@ -333,42 +340,19 @@ def free_vars(e: Expr) -> frozenset[str]:
 
 def substitute(body: Expr, env: dict[str, Expr]) -> Expr:
     """Replace the free occurrences in `body` of each variable that `env`
-    binds with its closed value.  The walk is iterative, so it takes input
-    of any depth, and a subterm in which nothing is replaced is shared with
-    `body` rather than rebuilt."""
+    binds with its closed value, in one fold over `body`: a subterm in which
+    nothing is replaced is shared with `body` rather than rebuilt."""
     for v in env.values():
         if free_vars(v):
             raise ValueError(f"substitute: replacement term is not closed: {print_expr(v)}")
-    shadowed: dict[str, int] = {}  # name -> number of enclosing binders of it
-    todo: list = [body]  # terms to walk, and (node, number of subterms) to rebuild
-    done: list[Expr] = []  # the results, innermost last
-    while todo:
-        node = todo.pop()
-        cls = node.__class__
-        if cls is Var:
-            name = node.name
-            done.append(env[name] if name in env and not shadowed.get(name) else node)
-        elif cls is App:
-            todo += ((node, 2), node.rand, node.rator)
-        elif cls is If:
-            todo += ((node, 3), node.els, node.then, node.test)
-        elif cls is Abs:
-            if node.param in env:
-                if len(env) == 1:  # nothing below it is replaced
-                    done.append(node)
-                    continue
-                shadowed[node.param] = shadowed.get(node.param, 0) + 1
-            todo += ((node, 1), node.body)
-        elif cls is tuple:
-            node, n = node
-            if node.__class__ is Abs and node.param in env:
-                shadowed[node.param] -= 1
-            kids = done[-n:]
-            del done[-n:]
-            done.append(_rebuild(node, kids))
-        else:
-            done.append(node)
-    return done[0]
+    bound: dict[str, int] = {}
+
+    def leaf(x):
+        if x.__class__ is Var and x.name in env and not bound.get(x.name):
+            return env[x.name]
+        return x
+
+    return fold(body, leaf, _rebuild, bound=bound)
 
 
 # ---------------------------------------------------------------------------

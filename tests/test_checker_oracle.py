@@ -23,7 +23,9 @@ from otlc.syntax import (
     Constant,
     If,
     Num,
+    TT,
     Var,
+    parse_expr,
     parse_type,
     print_expr,
 )
@@ -153,3 +155,23 @@ def test_oracle_agrees_on_fuzzed_terms(refinements):
         replaced = _replace(e, len(_positions(e)) // 2, Bool(True))
         rejected += not agree(replaced, Mode.PRIMARY, delta, {})
     assert rejected > 100
+
+
+@pytest.mark.xfail(raises=TypeCheckError, strict=True,
+                   reason="extended checker keeps T-AppPred on a variable operand")
+def test_extended_checker_decides_a_test_that_cannot_hold():
+    # The extended rules derive this λ through T-AppPredFalse, which decides
+    # (number? v) false since Boolean does not overlap Number, and T-IfFalse,
+    # which then judges the else branch only.  The checker gives a variable
+    # operand T-AppPred, and T-If joins #t's type into add1's operand.  The
+    # obvious fix, deciding the test on a variable, is not taken: it would
+    # also decide (lambda (v : Boolean) (number? v)), whose body's predicate
+    # would be ff instead of Number @ v, and so drop the latent Number that
+    # T-AbsPred gives it in the primary rules; the harness's monotonicity
+    # clause, which asks the extended judgment to be below the primary one,
+    # would then fail.
+    e = parse_expr("(lambda (v : Boolean) (add1 (if (number? v) #t 0)))")
+    expected = (parse_type("(-> Boolean Number)"), TT)
+    assert derive(DELTA, {}, e, Mode.EXTENDED) == {expected}
+    j = typecheck(DELTA, {}, e, Mode.EXTENDED)
+    assert (j.type, j.pred) == expected

@@ -107,6 +107,17 @@ def test_check_undecodable_file_exit_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["check", "eval"])
+def test_byte_order_mark_is_skipped(program, capsys, command):
+    # A UTF-8 file may begin with the invisible U+FEFF, which is not a token.
+    plain = program("(add1 1)")
+    assert main([command, plain]) == EXIT_OK
+    expected = capsys.readouterr()
+    marked = program("\ufeff(add1 1)", name="bom.lts")
+    assert main([command, marked]) == EXIT_OK
+    assert capsys.readouterr() == expected
+
+
 def test_check_delta_flag(program, capsys):
     path = program("(lambda (n : (Refinement even?)) (add1 n))")
     assert main(["check", "--delta", "even?", path]) == EXIT_OK
@@ -191,6 +202,33 @@ def test_eval_fuel_exhausted(program, capsys):
     path = program("(add1 (add1 (add1 0)))")
     assert main(["eval", "--fuel", "1", path]) == EXIT_FAILURE
     assert "fuel exhausted" in capsys.readouterr().err
+
+
+# odd? refines the parameter of f, so Δ must declare it.
+ODD_REFINED = ("((lambda (f : (-> (Refinement odd?) Number)) ((lambda (n : Number) "
+               "(if (odd? n) (f n) n)) 3)) (lambda (m : (Refinement odd?)) (add1 m)))")
+
+
+def test_eval_with_default_delta(program, capsys):
+    assert main(["eval", program(ODD_REFINED)]) == EXIT_OK
+    assert capsys.readouterr().out == "4\n"
+
+
+def test_eval_delta_flag_without_the_refinement_exit_1(program, capsys):
+    assert main(["eval", "--delta", "even?", program(ODD_REFINED)]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == (
+        "type error: T-Abs: refinement predicate odd? is not declared at "
+        "(lambda (f : (-> (Refinement odd?) Number)) ((lambda (n : Number) "
+        "(if (odd? n) (f n) n)) 3)) [via T-App > T-Abs]")
+
+
+def test_trace_delta_flag(program, capsys):
+    assert main(["trace", "--delta", "odd?", program(ODD_REFINED)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"0: {ODD_REFINED}"
+    assert lines[-1] == "6: 4"
 
 
 def test_trace_numbered_lines(program, capsys):

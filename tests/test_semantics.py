@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import otlc.semantics as semantics
+import otlc.syntax as syntax
 from otlc.checker import Mode, typecheck
 from otlc.harness import gen_typed_term
 from otlc.semantics import (
@@ -369,3 +370,27 @@ def test_evaluate_walks_a_let_chain_in_linear_time(monkeypatch):
     out = evaluate(let_chain(n, Abs("y", TOP, Var(f"x{n}"))), 2 * n)
     assert out == Value(Abs("y", TOP, Num(7 + n - 1)))
     assert walked < 4 * n
+
+
+def test_read_back_folds_the_body_once_for_all_bindings(monkeypatch):
+    # The value is a closure whose body mentions n outer variables, the
+    # last one also bound inside it, so reading it back replaces n names
+    # in one fold of the body.  A fold per binding would visit Θ(n²)
+    # nodes, 8,006,000 here, where one fold visits 4,003.
+    visited = 0
+    real_fold = syntax.fold
+
+    def counting_fold(e, *rest, **kwargs):
+        nonlocal visited
+        visited += nodes(e)
+        return real_fold(e, *rest, **kwargs)
+
+    monkeypatch.setattr(syntax, "fold", counting_fold)
+    n = 2000
+    body = expected = Abs(f"x{n}", TOP, Var(f"x{n}"))
+    for i in range(n, 0, -1):
+        body = App(Var(f"x{i}"), body)
+        expected = App(Num(7 + i - 1), expected)
+    out = evaluate(let_chain(n, Abs("y", TOP, body)), 2 * n)
+    assert out == Value(Abs("y", TOP, expected))
+    assert visited < 4 * n
