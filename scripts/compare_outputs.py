@@ -7,9 +7,11 @@ The document holds the stdout, stderr and exit code of `otlc check`,
 and of `eval --fuel 0`, `eval --fuel 1`, `trace --fuel 1` and `eval
 --unchecked` there, which read back stuck and out-of-fuel terms.  It
 holds those of `eval --unchecked`, `eval --unchecked --fuel 2` and
-`trace --unchecked` on five programs whose runs read back terms under a
-non-empty environment, three stuck and two ending in a closure; in two
-of them an inner binder shadows one of several bindings.  It holds
+`trace --unchecked` on seven programs whose runs read back terms under a
+non-empty environment, three stuck, three ending in a closure and one in
+a number; in two of them an inner binder shadows one of several
+bindings, and two build a chain of closures that each call the one
+before.  It holds
 the `run_fuzz` reports, without `elapsed_ms`, of 400 terms for seeds 1-3
 in base and refinement mode, and the reports of 250 terms for seeds 1-5
 in both modes under broken semantics, the `if` rule's branches swapped,
@@ -62,7 +64,12 @@ STUCK = ["((lambda (x : Top) (add1 x)) #t)",
          "((lambda (x : Number) ((lambda (y : Number) (lambda (z : Top) ((lambda (x : Top) "
          "(if x y x)) x))) 2)) 1)",
          "((lambda (x : Top) ((lambda (y : Top) (if (add1 y) (lambda (x : Top) (if x y x)) x)) "
-         "#t)) 1)"]
+         "#t)) 1)",
+         # A chain of closures, each calling the one before it, read back
+         # whole or applied.
+         *(f"((lambda (f1 : (-> Number Number)) ((lambda (f2 : (-> Number Number)) ((lambda (f3 : "
+           f"(-> Number Number)) {last}) (lambda (y : Number) (f2 y)))) (lambda (y : Number) (f1 y)))) "
+           f"(lambda (y : Number) (add1 y)))" for last in ("f3", "(f3 1)"))]
 
 
 def run_cli(argv: list[str]) -> dict:

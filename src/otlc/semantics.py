@@ -15,9 +15,10 @@ terms with environments instead of substituting (Biernacka & Danvy 2007).
 Its control is a term and the environment that closes it; β binds the
 parameter and continues in the body, so a let chain of n bindings reduces
 in O(n) where substitution walks O(n²) nodes.  Each machine transition
-that contracts is one step of `step`, so fuel and step counts agree, and
-terms are read back through `substitute`, the one substitution walker,
-with `_plug`.  This is the only module that reduces terms."""
+that contracts is one step of `step`, so fuel and step counts agree.  Terms
+are read back with `_plug` and `_substitute`, `substitute` without its
+closedness guard, as every value is closed.  This is the only module that
+reduces terms."""
 
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from .syntax import (
     If,
     Num,
     Var,
+    _substitute,
     apply_constant,
     free_vars,
     is_value,
@@ -105,7 +107,8 @@ def _lookup(env, name: str) -> Expr | tuple:
 def _close(e: Expr, env) -> Expr:
     """Read back: the closed term of `e` under `env`, each free variable
     replaced by the term of its value.  The closures those values hold are
-    read back first, with an explicit stack, each once."""
+    read back first, with an explicit stack, each once; being closed, as the
+    run's entry check makes every value, they skip `substitute`'s guard."""
     if env is None:
         return e
     root = (e, env)
@@ -130,7 +133,7 @@ def _close(e: Expr, env) -> Expr:
             todo += waiting
             continue
         todo.pop()
-        terms[id(c)] = substitute(t, binds)
+        terms[id(c)] = _substitute(t, binds)
     return terms[id(root)]
 
 

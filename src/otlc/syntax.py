@@ -69,10 +69,11 @@ class _HashConsed(type):
 
 
 class Type(metaclass=_HashConsed):
-    pass
+    def __repr__(self):
+        return f"parse_type({print_type(self)!r})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class AtomT(Type):
     """A type named by one word.  Its instances are the four constants
     below, so a test for one is identity with its constant."""
@@ -80,19 +81,19 @@ class AtomT(Type):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Arrow(Type):
     arg: Type
     res: Type
     latent: Type | None = None  # None means "not a predicate"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class UnionT(Type):
     members: tuple[Type, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Refine(Type):
     """The values of the predicate's own argument type that pass it."""
 
@@ -149,10 +150,11 @@ NONE_PRED = AtomPred("none")
 
 
 class Expr:
-    """A term.  `==` and `hash` are structural and walk an explicit stack,
-    so terms of any depth compare; annotations, being hash-consed types,
-    compare by identity.  `repr` is the call that reads the term back, so
-    it takes any depth as `print_expr` does."""
+    """A term.  `==` is structural and walks an explicit stack, so terms of
+    any depth compare; annotations, being hash-consed types, compare by
+    identity.  A term hashes as its printed text, since equal terms print
+    the same.  `repr` is the call that reads the term back, so it takes any
+    depth as `print_expr` does."""
 
     __slots__ = ()
 
@@ -180,11 +182,7 @@ class Expr:
         return True
 
     def __hash__(self):
-        def node(x, kids):
-            own = (x.param, x.annot) if x.__class__ is Abs else ()
-            return hash((x.__class__, *own, *kids))
-
-        return fold(self, lambda x: hash((x.__class__, *x.__dict__.values())), node)
+        return hash(print_expr(self))
 
     def __repr__(self):
         return f"parse_expr({print_expr(self)!r})"
@@ -345,6 +343,11 @@ def substitute(body: Expr, env: dict[str, Expr]) -> Expr:
     for v in env.values():
         if free_vars(v):
             raise ValueError(f"substitute: replacement term is not closed: {print_expr(v)}")
+    return _substitute(body, env)
+
+
+def _substitute(body: Expr, env: dict[str, Expr]) -> Expr:
+    """`substitute` for values known to be closed, unchecked."""
     bound: dict[str, int] = {}
 
     def leaf(x):
@@ -578,23 +581,25 @@ def parse_program(text: str) -> tuple[tuple[Constant, ...], Expr]:
 
 
 def _join(todo: list) -> str:
-    """The text of a stack of strings, types and tuples of pieces, each
-    tuple last piece first.  The stack is explicit, so types and terms of
-    any depth print, and no string is copied per level of nesting."""
+    """The text of a stack of strings, types, predicates and terms.  Each
+    node pushes its pieces last first, so input of any depth prints, and no
+    string is copied per level of nesting."""
     pieces: list[str] = []
     while todo:
         x = todo.pop()
         cls = x.__class__
+        # Types before terms: looking a term up in _TYPE_NAMES would print it.
         if cls is str:
             pieces.append(x)
-        elif cls is tuple:
-            todo += x
-        elif x in _TYPE_NAMES:
-            pieces.append(_TYPE_NAMES[x])
+        elif cls is AtomT:
+            pieces.append(x.name)
         elif cls is Arrow:
             todo += ((")", x.res, " ", x.arg, "(-> ") if x.latent is None
                      else (")", x.latent, " : ", x.res, " ", x.arg, "(-> "))
         elif cls is UnionT:
+            if x in _TYPE_NAMES:
+                pieces.append(_TYPE_NAMES[x])
+                continue
             parts: list = list(x.members)
             for i in range(len(parts) - 1):
                 if parts[i] is TRUE_T and parts[i + 1] is FALSE_T:
@@ -604,10 +609,30 @@ def _join(todo: list) -> str:
             for part in reversed(parts):
                 todo += (part, " ")
             todo[-1] = "(U "
+        elif cls is App:
+            todo += (")", x.rand, " ", x.rator, "(")
+        elif cls is Var:
+            pieces.append(x.name)
+        elif cls is Num:
+            pieces.append(str(x.value))
+        elif cls is If:
+            todo += (")", x.els, " ", x.then, " ", x.test, "(if ")
+        elif cls is Const:
+            pieces.append(x.c.value)
+        elif cls is Abs:
+            todo += (")", x.body, ") ", x.annot, f"(lambda ({x.param} : ")
+        elif cls is Bool:
+            pieces.append("#t" if x.value else "#f")
         elif cls is Refine:
             pieces.append(f"(Refinement {x.pred.value})")
+        elif cls is TypeOfPred:
+            todo += (x.var, " @ ", x.type)
+        elif cls is VarPred:
+            pieces.append(x.var)
+        elif cls is AtomPred:
+            pieces.append(x.name)
         else:
-            raise TypeError(f"not a type: {x!r}")
+            raise TypeError(f"not printable: {x!r}")
     return "".join(pieces)
 
 
@@ -616,36 +641,8 @@ def print_type(t: Type) -> str:
 
 
 def print_pred(p: Pred) -> str:
-    match p:
-        case TypeOfPred(t, x):
-            return f"{print_type(t)} @ {x}"
-        case VarPred(x):
-            return x
-        case AtomPred(name):
-            return name
-    raise TypeError(f"not a predicate: {p!r}")
-
-
-def _pieces(e: Expr, kids=()) -> str | tuple:
-    """The text of a leaf, or a node's pieces around its subterms', last
-    first."""
-    cls = e.__class__
-    if cls is App:
-        return ")", kids[1], " ", kids[0], "("
-    if cls is Var:
-        return e.name
-    if cls is Num:
-        return str(e.value)
-    if cls is If:
-        return ")", kids[2], " ", kids[1], " ", kids[0], "(if "
-    if cls is Const:
-        return e.c.value
-    if cls is Abs:
-        return ")", kids[0], ") ", e.annot, f"(lambda ({e.param} : "
-    if cls is Bool:
-        return "#t" if e.value else "#f"
-    raise TypeError(f"not an expression: {e!r}")
+    return _join([p])
 
 
 def print_expr(e: Expr) -> str:
-    return _join([fold(e, _pieces, _pieces)])
+    return _join([e])

@@ -93,6 +93,20 @@ def test_deep_tower_repr_reads_back(tower):
     assert shown == f"parse_expr({text!r})"
 
 
+def test_deep_type_repr_reads_back():
+    # A λ tower's type is an arrow nested as deep as the tower; its repr,
+    # and its judgment's, read it back through `print_type`.  Not `eval`ed:
+    # the reader of types recurses.
+    j = typecheck(EMPTY, {}, parse_expr(lambda_tower(2000, "x0")))
+    try:
+        shown, judged = repr(j.type), repr(j)
+    except RecursionError:
+        shown = judged = "RecursionError"
+    assert shown == f"parse_type({print_type(j.type)!r})"
+    assert judged == f"Judgment(type={shown}, pred=AtomPred(name='tt'))"
+    assert repr(Arrow(NUM, NUM)) == "parse_type('(-> Number Number)')"
+
+
 def test_deep_tower_positions(tower):
     depth, _, e = tower
     assert len(_positions(e)) == 2 * depth + 1
