@@ -19,7 +19,9 @@ so that failures reach the shrinker.  And it holds the checker's primary
 and extended judgment of 300 generated terms per mode and of up to 3
 copies of each with a #t in place of a node, which are often ill typed:
 the printed judgment, or the error's rule, trail and text, and the rule
-counts in the order counted.
+counts in the order counted.  It also holds those of `check` on 300
+seeded token mutations of the corpus files, nearly all of them parse
+errors, with each file's path shown by its name alone.
 
 Example, comparing a checkout of the parent commit with this one:
     python3 /path/to/parent/scripts/compare_outputs.py > parent.json
@@ -33,6 +35,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -48,6 +51,7 @@ from otlc.harness import (  # noqa: E402
 from otlc.subtyping import REFINING  # noqa: E402
 from otlc.syntax import Bool, print_expr, print_pred, print_type  # noqa: E402
 
+CORPUS = sorted((ROOT / "tests" / "corpus").glob("*.lts"))
 COMMANDS = {"check": ["check"], "check --extended": ["check", "--extended"],
             "eval": ["eval"], "trace": ["trace"],
             "eval --fuel 0": ["eval", "--fuel", "0"], "eval --fuel 1": ["eval", "--fuel", "1"],
@@ -77,6 +81,50 @@ def run_cli(argv: list[str]) -> dict:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
+# A comment or a token, and what a mutation inserts: each mark, each
+# keyword and each kind of atom, a bad one among them, and a comment.
+WORDS = re.compile(r";[^\n]*|[():]|[^\s():;]+")
+INSERTS = ["(", ")", ":", "lambda", "if", "U", "->", "Refinement", "declare-refinement",
+           "Number", "Boolean", "Bot", "x", "#t", "#q", "7", "add1", "even?", ";c\n"]
+
+
+def mutants(count: int, seed, sources: list[str]):
+    """`count` seeded mutations of texts from `sources`: one to three tokens
+    deleted, inserted, duplicated or swapped, the tokens then joined by
+    spaces, newlines and tabs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        toks = WORDS.findall(rng.choice(sources))
+        for _ in range(rng.randint(1, 3)):
+            op = rng.choice(("delete", "insert", "duplicate", "swap"))
+            i = rng.randrange(len(toks)) if toks else 0
+            if op == "insert" or not toks:
+                toks.insert(i, rng.choice(INSERTS))
+            elif op == "delete":
+                del toks[i]
+            elif op == "duplicate":
+                toks.insert(i, toks[i])
+            else:
+                j = rng.randrange(len(toks))
+                toks[i], toks[j] = toks[j], toks[i]
+        yield "".join(tok + rng.choice((" ", " ", "\n", "\t ")) for tok in toks)
+
+
+def parse_errors() -> dict:
+    """`check` on 300 mutations of the corpus files, each file's path shown
+    by its name alone."""
+    sources = [p.read_text(encoding="utf-8") for p in CORPUS]
+    runs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, text in enumerate(mutants(300, "parse-errors", sources)):
+            path = Path(tmp) / f"mutant{n}.lts"
+            path.write_text(text, encoding="utf-8")
+            run = run_cli(["check", str(path)])
+            run["stderr"] = run["stderr"].replace(str(path), path.name)
+            runs[path.name] = {"text": text, **run}
+    return runs
 
 
 def fuzz_reports(seeds, count: int) -> dict:
@@ -140,10 +188,11 @@ def judgments() -> dict:
 
 def outputs() -> dict:
     corpus = {}
-    for path in sorted((ROOT / "tests" / "corpus").glob("*.lts")):
+    for path in CORPUS:
         corpus[path.name] = {name: run_cli([*argv, str(path)])
                              for name, argv in COMMANDS.items()}
-    return {"corpus": corpus, "stuck": stuck_runs(), "judgments": judgments(),
+    return {"corpus": corpus, "stuck": stuck_runs(), "parse-errors": parse_errors(),
+            "judgments": judgments(),
             "fuzz": fuzz_reports((1, 2, 3), 400), "broken-fuzz": broken_fuzz_reports()}
 
 

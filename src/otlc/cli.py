@@ -10,9 +10,10 @@ Exit codes: 0 success, 1 type or evaluation failure (an open program run
 `--fuel` among them), a file that cannot be read or is not UTF-8, a
 `--json` report that cannot be written, a constant declared as a
 refinement that is not a refining one, or input too deep for a recursive
-type walker: a type annotation nested about 1,000 levels deep, or two
-types that `subtype` compares nested about 100 levels deep.  Terms of
-any depth are accepted.
+type walker: a type annotation nested about 1,000 levels deep, which
+`undeclared` checks against Δ, or two types that `subtype` compares
+nested about 100 levels deep.  Terms of any depth are accepted, and so
+are annotations of any depth where nothing is checked (`--unchecked`).
 """
 
 from __future__ import annotations

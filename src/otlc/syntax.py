@@ -416,164 +416,144 @@ _TYPE_NAMES = {t: name for name, t in _TYPE_ATOMS.items()}
 RESERVED_WORDS = {"lambda", "if", "U", "->", "Refinement", "declare-refinement", *_TYPE_ATOMS}
 
 
-class _Reader:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.pos = 0
-        self.last = 0  # index of the token `next` returned last
+def _fail(text: str, toks: list[str], i: int, message: str):
+    raise ParseError(f"{message} (got {toks[i] or '<end of input>'!r})", *_position(text, i))
 
-    def peek(self) -> str:
-        return self.toks[self.pos]
 
-    def next(self) -> str:
-        i = self.last = self.pos
-        tok = self.toks[i]
-        if tok:
-            self.pos = i + 1
-        return tok
-
-    def fail(self, message: str, last: bool = False):
-        """Raise at the token `next` returned last, or else at the next one."""
-        i = self.last if last else self.pos
-        shown = self.toks[i] or "<end of input>"
-        raise ParseError(f"{message} (got {shown!r})", *_position(self.text, i))
-
-    def expect(self, text: str):
-        if self.next() != text:
-            self.fail(f"expected {text!r}", last=True)
-
-    def expect_end(self):
-        if self.peek():
-            self.fail("expected end of input")
-
-    # -- expressions
-
-    def read_expr(self) -> Expr:
-        # Each open form is [class, fields read so far]; a form is complete,
-        # and its ")" expected, at two fields for App and three otherwise.
-        forms: list[list] = []
-        while True:
-            tok = self.next()
-            if tok == "(":
-                head = self.peek()
-                if head == "lambda":
-                    self.next()
-                    self.expect("(")
-                    param = self.read_ident()
-                    self.expect(":")
-                    annot = self.read_type()
-                    self.expect(")")
-                    forms.append([Abs, param, annot])
-                elif head == "if":
-                    self.next()
-                    forms.append([If])
+def _read(text: str, want: type):
+    """All of `text` read as one `Expr`, one `Type` or, when `want` is
+    `tuple`, a program: its (declare-refinement c) forms, then one term.
+    Terms and types are read in one loop over one stack of open forms, so
+    input of any depth reads.  An open form is [class, fields read so far]:
+    App takes two terms and If three; Abs takes its annotation, then ")",
+    then its body; Arrow takes two types, then a latent after ":"; UnionT
+    takes types up to its ")"."""
+    toks = _tokenize(text)
+    i = 0  # the next token
+    decls: list[Constant] = []
+    while want is tuple and toks[i] == "(" and toks[i + 1] == "declare-refinement":
+        c = CONSTANT_BY_NAME.get(toks[i + 2])
+        if c is None:
+            _fail(text, toks, i + 2, "unknown constant in declare-refinement")
+        if toks[i + 3] != ")":
+            _fail(text, toks, i + 3, "expected ')'")
+        decls.append(c)
+        i += 4
+    forms: list[list] = []
+    typ = want is Type  # a type is read next; types hold no terms
+    while True:
+        tok = toks[i]
+        head = toks[i + 1] if tok == "(" else None
+        if not typ:
+            if head is None:
+                c = CONSTANT_BY_NAME.get(tok)
+                if c is not None:
+                    v = Const(c)
+                elif tok == "#t" or tok == "#f":
+                    v = Bool(tok == "#t")
+                elif _is_integer(tok):
+                    # Fewer digits than Python converts (0 or absent: no
+                    # limit) print after any add1.
+                    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+                    if 0 < limit <= len(tok.lstrip("+-")):
+                        raise ParseError(f"integer literal too long (at most {limit - 1} digits)",
+                                         *_position(text, i))
+                    v = Num(int(tok))
+                elif tok in "):":  # the end of input, "" too
+                    _fail(text, toks, i, "expected an expression")
+                elif tok[0] == "#":
+                    _fail(text, toks, i, "unknown # literal")
+                elif tok in RESERVED_WORDS:
+                    _fail(text, toks, i, "reserved word used as a variable")
                 else:
-                    forms.append([App])
+                    v = Var(tok)
+                i += 1
+            elif head == "lambda":
+                if toks[i + 2] != "(":
+                    _fail(text, toks, i + 2, "expected '('")
+                if not _is_ident(toks[i + 3]):
+                    _fail(text, toks, i + 3, "expected an identifier")
+                if toks[i + 4] != ":":
+                    _fail(text, toks, i + 4, "expected ':'")
+                forms.append([Abs, toks[i + 3]])
+                i += 5
+                typ = True
                 continue
-            e = self.read_atom_expr(tok)
-            while forms:
-                form = forms[-1]
-                form.append(e)
-                if len(form) < (3 if form[0] is App else 4):
-                    break
-                self.expect(")")
-                forms.pop()
-                e = form[0](*form[1:])
             else:
-                return e
-
-    def read_atom_expr(self, atom: str) -> Expr:
-        if not atom or atom in "():":
-            self.fail("expected an expression", last=True)
-        if _is_integer(atom):
-            # Fewer digits than Python converts (0 or absent: no limit) print after any add1.
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-            if 0 < limit <= len(atom.lstrip("+-")):
-                raise ParseError(f"integer literal too long (at most {limit - 1} digits)",
-                                 *_position(self.text, self.last))
-            return Num(int(atom))
-        if atom in ("#t", "#f"):
-            return Bool(atom == "#t")
-        if atom in CONSTANT_BY_NAME:
-            return Const(CONSTANT_BY_NAME[atom])
-        if atom.startswith("#"):
-            self.fail("unknown # literal", last=True)
-        if atom in RESERVED_WORDS:
-            self.fail("reserved word used as a variable", last=True)
-        return Var(atom)
-
-    def read_ident(self) -> str:
-        atom = self.next()
-        if not _is_ident(atom):
-            self.fail("expected an identifier", last=True)
-        return atom
-
-    # -- types
-
-    def read_type(self) -> Type:
-        tok = self.next()
-        if tok == "(":
-            head = self.next()
-            if head == "U":
-                members: list[Type] = []
-                while self.peek() not in (")", ""):
-                    members.append(self.read_type())
-                self.expect(")")
-                return UnionT(tuple(members))
-            if head == "->":
-                arg = self.read_type()
-                res = self.read_type()
-                latent = None
-                if self.peek() == ":":
-                    self.next()
-                    latent = self.read_type()
-                self.expect(")")
-                return Arrow(arg, res, latent)
-            if head == "Refinement":
-                c = CONSTANT_BY_NAME.get(self.next())
-                if c is None:
-                    self.fail("unknown constant in Refinement type", last=True)
-                self.expect(")")
-                return Refine(c)
-            self.fail("expected U, -> or Refinement", last=True)
-        t = _TYPE_ATOMS.get(tok)
-        if t is None:
-            self.fail("expected a type", last=True)
-        return t
-
-
-def _read_all(text: str, read):
-    r = _Reader(text)
-    out = read(r)
-    r.expect_end()
-    return out
+                forms.append([If] if head == "if" else [App])
+                i += 2 if head == "if" else 1
+                continue
+        elif head is None:
+            v = _TYPE_ATOMS.get(tok)
+            if v is None:
+                _fail(text, toks, i, "expected a type")
+            i += 1
+        elif head == "->" or head == "U" and toks[i + 2] not in (")", ""):
+            forms.append([Arrow if head == "->" else UnionT])
+            i += 2
+            continue
+        elif head == "U":
+            if toks[i + 2] != ")":
+                _fail(text, toks, i + 2, "expected ')'")
+            v = BOT
+            i += 3
+        elif head == "Refinement":
+            c = CONSTANT_BY_NAME.get(toks[i + 2])
+            if c is None:
+                _fail(text, toks, i + 2, "unknown constant in Refinement type")
+            if toks[i + 3] != ")":
+                _fail(text, toks, i + 3, "expected ')'")
+            v = Refine(c)
+            i += 4
+        else:
+            _fail(text, toks, i + 1, "expected U, -> or Refinement")
+        # `v` is read: it completes forms, innermost first, up to one that
+        # takes more.
+        while forms:
+            form = forms[-1]
+            form.append(v)
+            cls = form[0]
+            n = len(form)
+            if cls is UnionT:
+                if toks[i] not in (")", ""):
+                    break
+            elif cls is Arrow:
+                if n == 2:
+                    break
+                if n == 3 and toks[i] == ":":
+                    i += 1
+                    break
+            elif cls is Abs and n == 3:  # the annotation: the body follows its ")"
+                if toks[i] != ")":
+                    _fail(text, toks, i, "expected ')'")
+                i += 1
+                typ = False
+                break
+            elif n < (3 if cls is App else 4):
+                break
+            if toks[i] != ")":
+                _fail(text, toks, i, "expected ')'")
+            i += 1
+            forms.pop()
+            v = UnionT(tuple(form[1:])) if cls is UnionT else cls(*form[1:])
+        else:
+            if toks[i]:
+                _fail(text, toks, i, "expected end of input")
+            return (tuple(decls), v) if want is tuple else v
 
 
 def parse_expr(text: str) -> Expr:
-    return _read_all(text, _Reader.read_expr)
+    return _read(text, Expr)
 
 
 def parse_type(text: str) -> Type:
-    return _read_all(text, _Reader.read_type)
+    return _read(text, Type)
 
 
 def parse_program(text: str) -> tuple[tuple[Constant, ...], Expr]:
     """A program is zero or more (declare-refinement c) forms, then one
     expression."""
-    r = _Reader(text)
-    decls: list[Constant] = []
-    while (r.peek() == "(" and r.toks[r.pos + 1] == "declare-refinement"):
-        r.next()
-        r.next()
-        c = CONSTANT_BY_NAME.get(r.next())
-        if c is None:
-            r.fail("unknown constant in declare-refinement", last=True)
-        r.expect(")")
-        decls.append(c)
-    e = r.read_expr()
-    r.expect_end()
-    return tuple(decls), e
+    return _read(text, tuple)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 import json
 import sys
+from collections import Counter
 
 import pytest
 
 from otlc.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from otlc.subtyping import subtype
+
+from test_syntax import PROGRAMS, mutants
 
 
 @pytest.fixture
@@ -369,13 +372,23 @@ def test_deep_term_runs(program, capsys, command, depth):
 @pytest.mark.parametrize("command", ["check", "eval", "trace"])
 @pytest.mark.parametrize("depth", [10**3, 10**5])
 def test_deep_input_is_a_clean_usage_error(program, capsys, command, depth):
-    # Types are still read by recursion: an annotation nested `depth` deep
-    # is too deep for it.
+    # The reader takes an annotation of any depth, but `undeclared`, which
+    # looks in it for a refinement outside Δ, recurses: an annotation
+    # nested `depth` deep is too deep for it.
     path = program("(lambda (x : " + "(-> " * depth + "Number" + " Number)" * depth + ") x)")
     assert main([command, path]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == f"{path}: input nested too deeply\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "trace"])
+def test_deep_annotation_runs_unchecked(program, capsys, command):
+    # Unchecked, nothing walks the annotation but the reader and printer.
+    annot = "(-> " * 10**5 + "Number" + " Number)" * 10**5
+    text = f"(lambda (x : {annot}) x)"
+    assert main([command, "--unchecked", program(text)]) == EXIT_OK
+    assert capsys.readouterr() == (text + "\n" if command == "eval" else f"0: {text}\n", "")
 
 
 def test_deep_lambda_tower_checks(program, capsys):
@@ -393,8 +406,8 @@ def test_deep_arrow_checked_against_its_annotation(program, capsys, depth):
     # A λ tower passed to a parameter annotated with its own arrow type
     # exits as the annotation alone does, only because hash-consing makes
     # the tower's type and the annotation one object, which `subtype`
-    # accepts without recursing.  Where the reader gives up depends on the
-    # stack already in use, so only the ends of the range are pinned.
+    # accepts without recursing.  Where `undeclared` gives up depends on
+    # the stack already in use, so only the ends of the range are pinned.
     annotated = "(lambda (f : " + "(-> Number " * depth + "Number" + ")" * depth + ") 0)"
     tower = ("".join(f"(lambda (x{i} : Number) " for i in range(depth)) + "x0"
              + ")" * depth)
@@ -446,3 +459,23 @@ def test_fuzz_too_deep_is_a_clean_usage_error(capsys):
 def test_moderately_deep_input_runs(program, capsys, command):
     assert main([command, program(_tower(300))]) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
+# mutated programs
+
+
+def test_mutated_programs_exit_cleanly(tmp_path, capsys):
+    # Seeded token mutations of the corpus reach every exit code, and each
+    # is an exit code, not a traceback.
+    codes = Counter()
+    for i, text in enumerate(mutants(400, 3, PROGRAMS)):
+        path = tmp_path / f"m{i}.lts"
+        path.write_text(text, encoding="utf-8")
+        for argv in (["check"], ["eval", "--unchecked"]):
+            code = main([*argv, str(path)])
+            err = capsys.readouterr().err
+            assert code in (EXIT_OK, EXIT_FAILURE, EXIT_USAGE), (argv, text)
+            assert "Traceback" not in err
+            codes[code] += 1
+    assert set(codes) == {EXIT_OK, EXIT_FAILURE, EXIT_USAGE}

@@ -1,7 +1,8 @@
 """Terms of any depth: the reader, the checker, the printers, erasure, the
 machine, subject reduction, the shrinker's positions, and `==`, `hash`
 and `repr` on terms do not recurse on the nesting depth of a term, and
-`print_type` does not recurse on the nesting depth of a type."""
+the reader and `print_type` do not recurse on the nesting depth of a
+type."""
 
 import pytest
 
@@ -10,7 +11,8 @@ from otlc.harness import _positions, check_subject_reduction
 from otlc.refine import erase_expr
 from otlc.semantics import trace
 from otlc.subtyping import REFINING
-from otlc.syntax import NUM, Arrow, parse_expr, print_expr, print_pred, print_type
+from otlc.syntax import (
+    NUM, Arrow, parse_expr, parse_type, print_expr, print_pred, print_type)
 
 EMPTY = frozenset()
 
@@ -95,8 +97,7 @@ def test_deep_tower_repr_reads_back(tower):
 
 def test_deep_type_repr_reads_back():
     # A λ tower's type is an arrow nested as deep as the tower; its repr,
-    # and its judgment's, read it back through `print_type`.  Not `eval`ed:
-    # the reader of types recurses.
+    # and its judgment's, read it back through `print_type`.
     j = typecheck(EMPTY, {}, parse_expr(lambda_tower(2000, "x0")))
     try:
         shown, judged = repr(j.type), repr(j)
@@ -105,6 +106,16 @@ def test_deep_type_repr_reads_back():
     assert shown == f"parse_type({print_type(j.type)!r})"
     assert judged == f"Judgment(type={shown}, pred=AtomPred(name='tt'))"
     assert repr(Arrow(NUM, NUM)) == "parse_type('(-> Number Number)')"
+
+
+@pytest.mark.parametrize("text", [
+    # Arrows, each with a latent, nested in their argument ...
+    "(-> " * 10**5 + "Number" + " Top : Number)" * 10**5,
+    # ... and unions, which stay nested only through an arrow.
+    "(U Number (-> Top " * 10**5 + "False" + "))" * 10**5,
+], ids=["arrows", "unions"])
+def test_deep_type_reads_and_prints_back(text):
+    assert print_type(parse_type(text)) == text
 
 
 def test_deep_tower_positions(tower):

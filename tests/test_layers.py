@@ -92,10 +92,7 @@ def test_only_syntax_builds_atoms(module):
 # Walkers over types, whose depth is the nesting of an annotation.  Terms
 # of any depth are walked with explicit stacks, and a walker over the
 # members of a normal union, which has no union members, needs no recursion.
-RECURSIVE_BY_DESIGN = {
-    "read_type", "erase_type",
-    "undeclared", "subtype",
-}
+RECURSIVE_BY_DESIGN = {"erase_type", "undeclared", "subtype"}
 
 
 def _self_calls(tree):

@@ -1,6 +1,8 @@
 """Parser, printer, and term-manipulation tests for otlc.syntax."""
 
+import hashlib
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +40,9 @@ from otlc.syntax import (
 )
 
 from test_subtyping import types
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from compare_outputs import CORPUS, mutants  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -115,6 +120,47 @@ def test_too_long_integer_literal_is_a_parse_error_at_it(sign):
 
 def test_unknown_identifier_is_a_variable_not_a_constant():
     assert parse_expr("frobnicate") == Var("frobnicate")
+
+
+# ---------------------------------------------------------------------------
+# Every outcome of the reader on mutated programs
+
+# The corpus and annotated λs, and types alone, so that types are mutated
+# both inside terms and where `parse_type` reads them.
+PROGRAMS = [p.read_text(encoding="utf-8") for p in CORPUS] + [
+    "(lambda (f : (-> (U Number True) (-> Top Top : Number))) (f 1))",
+    "(lambda (x : (U Number (Refinement odd?) False)) (if x x 0))",
+]
+TYPES = [
+    "(-> (U Number Boolean) Number : Number)",
+    "(U (Refinement even?) (-> Top (U)) Bot)",
+    "(-> (-> Top Boolean : (U Number False)) (U True (Refinement odd?)))",
+    "(U Number (-> (U) Top) Boolean)",
+]
+
+READERS = [
+    (parse_program, lambda p: " ".join(c.value for c in p[0]) + " | " + print_expr(p[1])),
+    (parse_expr, print_expr),
+    (parse_type, print_type),
+]
+
+
+def test_reader_outcomes_on_mutated_programs_are_pinned():
+    # Each text's printed result, or error text and position, under each
+    # of the three readers, hashed: a change to any result, error text or
+    # position shows.
+    digest = hashlib.sha256()
+    errors = 0
+    for text in [*mutants(400, 1, PROGRAMS), *mutants(200, 2, TYPES)]:
+        for read, show in READERS:
+            try:
+                outcome = show(read(text))
+            except ParseError as err:
+                outcome = f"{err.line} {err.col} {err}"
+                errors += 1
+            digest.update(outcome.encode() + b"\n")
+    assert (errors, digest.hexdigest()) == (
+        1748, "aa028850dac778e90519bd632ca08ff4c97fca0c19223e13b1819fc894ab91da")
 
 
 # ---------------------------------------------------------------------------
